@@ -15,11 +15,20 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import intervals as iv
-from .intervals import OPEN_UNIT, SectionSet, analyze, representative
+from .intervals import OPEN_UNIT, SectionSet, representative
 from .relations import (
+    CLOSED,
+    CONVEX,
+    COVERS_OPEN_UNIT,
+    FLIMSY_HIT,
+    FRAGILE_HIT,
+    FULL_SET,
+    MEETS_OPEN_UNIT,
+    OPEN,
     ComparisonOutcome,
     MultiUtility,
     RelationModel,
+    flag_bit,
 )
 from .spaces import DEFAULT_GRID, Point, augment_points
 from .verdicts import AxiomVerdict, Status
@@ -101,6 +110,9 @@ def _na(axiom, note):
     return AxiomVerdict(axiom, Status.NOT_APPLICABLE, note=note)
 
 
+GT_MEETS, LT_MEETS = flag_bit("gt", MEETS_OPEN_UNIT), flag_bit("lt", MEETS_OPEN_UNIT)
+
+
 class AxiomEngine:
     """Caches comparisons, sections and verdicts for one (relation, universe)."""
 
@@ -156,6 +168,29 @@ class AxiomEngine:
 
     def section(self, x, y, z, which: str) -> SectionSet:
         return self.rel.segment(x, y, z).section(which)
+
+    def first_triple(self, mask: int, expect: int):
+        """First (x, y, z) in scan order whose flag word, masked by `mask`,
+        is not `expect`; None when there is none."""
+        flags = self.rel.section_flags
+        for x in self.points:
+            for y in self.points:
+                for z in self.points:
+                    if flags(x, y, z) & mask != expect:
+                        return x, y, z
+        return None
+
+    def first_section_failure(self, which_props):
+        """First (x, y, z, which) in scan order whose section `which` lacks
+        its property, trying the (which, property) pairs in the given order;
+        None when every triple has them all."""
+        checks = [(which, flag_bit(which, prop)) for which, prop in which_props]
+        need = sum(bit for _, bit in checks)
+        bad = self.first_triple(need, need)
+        if bad is None:
+            return None
+        word = self.rel.section_flags(*bad)
+        return (*bad, next(which for which, bit in checks if not word & bit))
 
     # -- verdict dispatch ---------------------------------------------------
 
@@ -292,55 +327,36 @@ class AxiomEngine:
             return _na(axiom, "sections are not finite interval unions for this relation")
         return None
 
-    def _check_mixture_continuous(self):
-        na = self._oracle_or_na(AxiomId.MIXTURE_CONTINUOUS)
+    def _section_property(self, axiom, which_props):
+        """Holds unless some triple's section lacks its property; the witness
+        carries that section, and `which` when the axiom reads two."""
+        na = self._oracle_or_na(axiom)
         if na:
             return na
-        for x in self.points:
-            for y in self.points:
-                for z in self.points:
-                    for which in ("ge", "le"):
-                        sec = self.section(x, y, z, which)
-                        if not analyze(sec).is_closed:
-                            return _fails(
-                                AxiomId.MIXTURE_CONTINUOUS,
-                                {"x": x, "y": y, "z": z, "which": which, "section": sec},
-                            )
-        return _holds(AxiomId.MIXTURE_CONTINUOUS)
+        bad = self.first_section_failure(which_props)
+        if bad is None:
+            return _holds(axiom)
+        x, y, z, which = bad
+        witness = {"x": x, "y": y, "z": z}
+        if len(which_props) > 1:
+            witness["which"] = which
+        witness["section"] = self.section(x, y, z, which)
+        return _fails(axiom, witness)
+
+    def _check_mixture_continuous(self):
+        return self._section_property(
+            AxiomId.MIXTURE_CONTINUOUS, (("ge", CLOSED), ("le", CLOSED))
+        )
 
     def _check_open_strict_sections(self):
-        na = self._oracle_or_na(AxiomId.OPEN_STRICT_SECTIONS)
-        if na:
-            return na
-        for x in self.points:
-            for y in self.points:
-                for z in self.points:
-                    for which in ("gt", "lt"):
-                        sec = self.section(x, y, z, which)
-                        if not analyze(sec).is_open:
-                            return _fails(
-                                AxiomId.OPEN_STRICT_SECTIONS,
-                                {"x": x, "y": y, "z": z, "which": which, "section": sec},
-                            )
-        return _holds(AxiomId.OPEN_STRICT_SECTIONS)
+        return self._section_property(
+            AxiomId.OPEN_STRICT_SECTIONS, (("gt", OPEN), ("lt", OPEN))
+        )
 
     def _check_open_incomparable_sections(self):
-        na = self._oracle_or_na(AxiomId.OPEN_INCOMPARABLE_SECTIONS)
-        if na:
-            return na
-        for x in self.points:
-            for y in self.points:
-                for z in self.points:
-                    sec = self.section(x, y, z, "incomparable")
-                    if not analyze(sec).is_open:
-                        return _fails(
-                            AxiomId.OPEN_INCOMPARABLE_SECTIONS,
-                            {"x": x, "y": y, "z": z, "section": sec},
-                        )
-        return _holds(AxiomId.OPEN_INCOMPARABLE_SECTIONS)
-
-    def _has_interior_weight(self, sec: SectionSet) -> bool:
-        return not iv.intersect(sec, OPEN_UNIT).is_empty()
+        return self._section_property(
+            AxiomId.OPEN_INCOMPARABLE_SECTIONS, (("incomparable", OPEN),)
+        )
 
     def _check_archimedean(self):
         # Each half carries its own incomparability guard: the upper half is
@@ -355,9 +371,10 @@ class AxiomEngine:
         na = self._oracle_or_na(AxiomId.ARCHIMEDEAN)
         if na:
             return na
+        flags = self.rel.section_flags
         for x, y in guarded:
             for z in incomp[y]:
-                if not self._has_interior_weight(self.section(x, z, y, "gt")):
+                if not flags(x, z, y) & GT_MEETS:
                     return _fails(
                         AxiomId.ARCHIMEDEAN,
                         {"x": x, "y": y, "z": z,
@@ -365,7 +382,7 @@ class AxiomEngine:
                         note="no interior weight keeps x-side strictly above y",
                     )
             for w in incomp[x]:
-                if not self._has_interior_weight(self.section(y, w, x, "lt")):
+                if not flags(y, w, x) & LT_MEETS:
                     return _fails(
                         AxiomId.ARCHIMEDEAN,
                         {"x": x, "y": y, "w": w,
@@ -380,20 +397,19 @@ class AxiomEngine:
             return _holds(AxiomId.STRONG_ARCHIMEDEAN, note="vacuous: no strict pair")
         if not self.rel.has_segment_oracle:
             return self._strong_archimedean_pointwise(pairs)
+        flags = self.rel.section_flags
         for x, y in pairs:
             for z in self.points:
-                above = self.section(x, z, y, "gt")
-                below = self.section(y, z, x, "lt")
-                if not self._has_interior_weight(above):
+                if not flags(x, z, y) & GT_MEETS:
                     return _fails(
                         AxiomId.STRONG_ARCHIMEDEAN,
-                        {"x": x, "y": y, "z": z, "section": above},
+                        {"x": x, "y": y, "z": z, "section": self.section(x, z, y, "gt")},
                         note="no interior weight keeps x-side strictly above y",
                     )
-                if not self._has_interior_weight(below):
+                if not flags(y, z, x) & LT_MEETS:
                     return _fails(
                         AxiomId.STRONG_ARCHIMEDEAN,
-                        {"x": x, "y": y, "z": z, "section": below},
+                        {"x": x, "y": y, "z": z, "section": self.section(y, z, x, "lt")},
                         note="no interior weight keeps y-side strictly below x",
                     )
         return _holds(AxiomId.STRONG_ARCHIMEDEAN)
@@ -430,75 +446,59 @@ class AxiomEngine:
 
     # -- convexity family -------------------------------------------------------
 
-    def _check_convex(self):
-        na = self._oracle_or_na(AxiomId.CONVEX)
+    def _weak_sections_full(self, axiom, which, weak):
+        """x and y both `weak` to z => section `which` of (x, y, z) is [0,1]."""
+        na = self._oracle_or_na(axiom)
         if na:
             return na
+        full = flag_bit(which, FULL_SET)
+        flags = self.rel.section_flags
         for x in self.points:
             for y in self.points:
                 for z in self.points:
-                    if not (self.weak(x, z) and self.weak(y, z)):
-                        continue
-                    sec = self.section(x, y, z, "ge")
-                    if sec != iv.FULL:
+                    if weak(x, z) and weak(y, z) and not flags(x, y, z) & full:
+                        sec = self.section(x, y, z, which)
                         return _fails(
-                            AxiomId.CONVEX,
+                            axiom,
                             {"x": x, "y": y, "z": z,
                              "lam": representative(iv.complement(sec))},
                         )
-        return _holds(AxiomId.CONVEX)
+        return _holds(axiom)
+
+    def _check_convex(self):
+        return self._weak_sections_full(AxiomId.CONVEX, "ge", self.weak)
 
     def _check_concave(self):
-        na = self._oracle_or_na(AxiomId.CONCAVE)
+        return self._weak_sections_full(
+            AxiomId.CONCAVE, "le", lambda a, b: self.weak(b, a)
+        )
+
+    def _strict_sections_cover(self, axiom, which, weak):
+        """x != y, x `weak` to y => strict section `which` of (x, y, y)
+        contains every interior weight."""
+        na = self._oracle_or_na(axiom)
         if na:
             return na
+        covers = flag_bit(which, COVERS_OPEN_UNIT)
+        flags = self.rel.section_flags
         for x in self.points:
             for y in self.points:
-                for z in self.points:
-                    if not (self.weak(z, x) and self.weak(z, y)):
-                        continue
-                    sec = self.section(x, y, z, "le")
-                    if sec != iv.FULL:
-                        return _fails(
-                            AxiomId.CONCAVE,
-                            {"x": x, "y": y, "z": z,
-                             "lam": representative(iv.complement(sec))},
-                        )
-        return _holds(AxiomId.CONCAVE)
+                if x != y and weak(x, y) and not flags(x, y, y) & covers:
+                    sec = self.section(x, y, y, which)
+                    return _fails(
+                        axiom,
+                        {"x": x, "y": y,
+                         "lam": representative(iv.difference(OPEN_UNIT, sec))},
+                    )
+        return _holds(axiom)
 
     def _check_star_convex(self):
-        na = self._oracle_or_na(AxiomId.STAR_CONVEX)
-        if na:
-            return na
-        for x in self.points:
-            for y in self.points:
-                if x == y or not self.weak(x, y):
-                    continue
-                sec = self.section(x, y, y, "gt")
-                if not iv.is_subset(OPEN_UNIT, sec):
-                    return _fails(
-                        AxiomId.STAR_CONVEX,
-                        {"x": x, "y": y,
-                         "lam": representative(iv.difference(OPEN_UNIT, sec))},
-                    )
-        return _holds(AxiomId.STAR_CONVEX)
+        return self._strict_sections_cover(AxiomId.STAR_CONVEX, "gt", self.weak)
 
     def _check_star_concave(self):
-        na = self._oracle_or_na(AxiomId.STAR_CONCAVE)
-        if na:
-            return na
-        for x in self.points:
-            for y in self.points:
-                if x == y or not self.weak(y, x):
-                    continue
-                sec = self.section(x, y, y, "lt")
-                if not iv.is_subset(OPEN_UNIT, sec):
-                    return _fails(
-                        AxiomId.STAR_CONCAVE,
-                        {"x": x, "y": y,
-                         "lam": representative(iv.difference(OPEN_UNIT, sec))},
-                    )
-        return _holds(AxiomId.STAR_CONCAVE)
+        return self._strict_sections_cover(
+            AxiomId.STAR_CONCAVE, "lt", lambda a, b: self.weak(b, a)
+        )
 
     def _check_linear(self):
         na = self._oracle_or_na(AxiomId.LINEAR)
@@ -511,17 +511,16 @@ class AxiomEngine:
                 "linearity is characterized by convex indifference sections only "
                 "for reflexive relations with transitive indifference",
             )
-        for x in self.points:
-            for y in self.points:
-                for z in self.points:
-                    sec = self.section(x, y, z, "eq")
-                    if not analyze(sec).is_convex:
-                        first, second = sec.intervals[0], sec.intervals[1]
-                        return _fails(
-                            AxiomId.LINEAR,
-                            {"x": x, "y": y, "z": z, "section": sec,
-                             "lam": (first.hi + second.lo) / 2},
-                        )
+        bad = self.first_section_failure((("eq", CONVEX),))
+        if bad:
+            x, y, z, _ = bad
+            sec = self.section(x, y, z, "eq")
+            first, second = sec.intervals[0], sec.intervals[1]
+            return _fails(
+                AxiomId.LINEAR,
+                {"x": x, "y": y, "z": z, "section": sec,
+                 "lam": (first.hi + second.lo) / 2},
+            )
         return _holds(AxiomId.LINEAR)
 
     # -- independence, fragility, flimsiness ------------------------------------
@@ -556,43 +555,36 @@ class AxiomEngine:
         na = self._oracle_or_na(AxiomId.FRAGILE)
         if na:
             return na
-        for x in self.points:
-            for y in self.points:
-                for z in self.points:
-                    part = self.rel.segment(x, y, z)
-                    strict = iv.union(part.section("gt"), part.section("lt"))
-                    if strict.is_empty():
-                        continue
-                    target = iv.closure(iv.interior(part.section("incomparable")))
-                    hit = iv.intersect(strict, target)
-                    if not hit.is_empty():
-                        return AxiomVerdict(
-                            AxiomId.FRAGILE, Status.HOLDS,
-                            {"x": x, "y": y, "z": z, "lam": representative(hit)},
-                            note="strict weight inside the closure of open "
-                                 "incomparability",
-                        )
+        hit = self.first_triple(FRAGILE_HIT, 0)
+        if hit:
+            x, y, z = hit
+            part = self.rel.segment(x, y, z)
+            strict = iv.union(part.section("gt"), part.section("lt"))
+            target = iv.closure(iv.interior(part.section("incomparable")))
+            return AxiomVerdict(
+                AxiomId.FRAGILE, Status.HOLDS,
+                {"x": x, "y": y, "z": z,
+                 "lam": representative(iv.intersect(strict, target))},
+                note="strict weight inside the closure of open incomparability",
+            )
         return _fails(AxiomId.FRAGILE, note="no fragile weight on the universe")
 
     def _check_flimsy(self):
         na = self._oracle_or_na(AxiomId.FLIMSY)
         if na:
             return na
-        for x in self.points:
-            for y in self.points:
-                for z in self.points:
-                    part = self.rel.segment(x, y, z)
-                    bowtie = part.section("incomparable")
-                    if bowtie.is_empty():
-                        continue
-                    comparable = iv.union(part.section("ge"), part.section("le"))
-                    hit = iv.intersect(bowtie, iv.closure(comparable))
-                    if not hit.is_empty():
-                        return AxiomVerdict(
-                            AxiomId.FLIMSY, Status.HOLDS,
-                            {"x": x, "y": y, "z": z, "lam": representative(hit)},
-                            note="incomparable weight is a limit of comparable weights",
-                        )
+        hit = self.first_triple(FLIMSY_HIT, 0)
+        if hit:
+            x, y, z = hit
+            part = self.rel.segment(x, y, z)
+            bowtie = part.section("incomparable")
+            comparable = iv.union(part.section("ge"), part.section("le"))
+            return AxiomVerdict(
+                AxiomId.FLIMSY, Status.HOLDS,
+                {"x": x, "y": y, "z": z,
+                 "lam": representative(iv.intersect(bowtie, iv.closure(comparable)))},
+                note="incomparable weight is a limit of comparable weights",
+            )
         return _fails(AxiomId.FLIMSY, note="no flimsy weight on the universe")
 
 

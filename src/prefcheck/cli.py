@@ -50,6 +50,8 @@ def load_model(path: str, grid_override=None, depth_override=None):
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelError(f"cannot read model file {path}: {exc}")
+    if not isinstance(raw, dict):
+        raise ModelError("model file must hold a JSON object")
 
     rel_desc = raw.get("relation")
     if not isinstance(rel_desc, dict) or "kind" not in rel_desc:
@@ -100,7 +102,7 @@ def load_model(path: str, grid_override=None, depth_override=None):
                 int(u.get("closure_depth", 1)),
                 _parse_grid(u.get("grid", [str(g) for g in DEFAULT_GRID])),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"bad universe: {exc}")
     elif universe is None:
         if hasattr(space, "vertices"):
@@ -113,6 +115,8 @@ def load_model(path: str, grid_override=None, depth_override=None):
                             _parse_grid(grid_override))
     if depth_override is not None:
         universe = Universe(universe.points, depth_override, universe.grid)
+    if universe.closure_depth < 0:
+        raise ModelError(f"closure_depth must be non-negative, got {universe.closure_depth}")
 
     for p in universe.points:
         if not space.contains(p):

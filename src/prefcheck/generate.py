@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 from . import intervals as iv
 from .axioms import AxiomEngine, AxiomId, Universe
-from .relations import ComparisonOutcome, MultiUtility
+from .relations import FRAGILE_HIT, ComparisonOutcome, MultiUtility
 from .spaces import Point, augment_points
 
 F = Fraction
@@ -79,29 +79,18 @@ def _incomparable_partner(rel: MultiUtility, points: list[Point],
 
 
 def _boundary_enrichment(rel: MultiUtility, points: list[Point]) -> list[Point]:
-    found = None
-    for x in points:
-        for y in points:
-            for z in points:
-                part = rel.segment(x, y, z)
-                bowtie_core = iv.closure(iv.interior(part.section("incomparable")))
-                if bowtie_core.is_empty():
-                    continue
-                for which in ("gt", "lt"):
-                    hit = iv.intersect(part.section(which), bowtie_core)
-                    if not hit.is_empty():
-                        found = (x, y, part, hit)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
-    if not found:
+    # the fragile bit: a strict section meets closure(interior(incomparable))
+    found = next(((x, y, z) for x in points for y in points for z in points
+                  if rel.section_flags(x, y, z) & FRAGILE_HIT), None)
+    if found is None:
         return []
 
-    x, y, part, hit = found
+    x, y, z = found
+    part = rel.segment(x, y, z)
+    bowtie_core = iv.closure(iv.interior(part.section("incomparable")))
+    hit = next(meet for meet in (iv.intersect(part.section(which), bowtie_core)
+                                 for which in ("gt", "lt"))
+               if not meet.is_empty())
     lam0 = iv.representative(hit)
     bow_interior = iv.interior(part.section("incomparable"))
     piece = next(p for p in bow_interior.intervals if p.lo <= lam0 <= p.hi)

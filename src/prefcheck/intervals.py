@@ -258,6 +258,4 @@ def representative(a: SectionSet) -> Optional[Fraction]:
     first = a.intervals[0]
     if first.lo_closed:
         return first.lo
-    if first.hi_closed and first.lo == first.hi:  # unreachable, kept for safety
-        return first.hi
     return (first.lo + first.hi) / 2

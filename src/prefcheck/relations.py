@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from . import intervals as iv
@@ -66,14 +67,96 @@ class NotRepresentableError(ValueError):
     """Raised when a relation's sections are not finite interval unions."""
 
 
+# Section flag words.  Each section selector owns one bit of a class mask;
+# a property of the section is that bit shifted by the property's offset.
+_CLASS_INDEX = {"ge": 0, "le": 1, "gt": 2, "lt": 3, "eq": 4, "incomparable": 5}
+_LABEL_CLASSES = {
+    label: sum(1 << _CLASS_INDEX[which]
+               for which, labels in SECTION_LABELS.items() if label in labels)
+    for label in Label
+}
+CLOSED, OPEN, CONVEX, FULL_SET, MEETS_OPEN_UNIT, COVERS_OPEN_UNIT = range(0, 36, 6)
+FRAGILE_HIT = 1 << 36  # a strict weight in closure(interior(incomparable))
+FLIMSY_HIT = 1 << 37   # an incomparable weight in the closure of the comparable ones
+_STRICT = (1 << _CLASS_INDEX["gt"]) | (1 << _CLASS_INDEX["lt"])
+_INCOMPARABLE = 1 << _CLASS_INDEX["incomparable"]
+_ALL_CLASSES = (1 << len(_CLASS_INDEX)) - 1
+
+
+def flag_bit(which: str, prop: int) -> int:
+    """The flag-word bit saying section `which` has property `prop`."""
+    return 1 << (prop + _CLASS_INDEX[which])
+
+
+def _flag_word(pieces) -> int:
+    """Every section property, read in one walk that also checks that the
+    pieces tile [0,1] (no gap, no overlap).
+
+    A section's components are the maximal runs of consecutive pieces whose
+    labels it collects, so each property is decided where runs start and
+    end, from the endpoint flags alone.  Every property is invariant under
+    lam -> 1 - lam.
+    """
+    not_closed = not_open = not_convex = seen = hits = meets = 0
+    full = covers = _ALL_CLASSES
+    prev = 0
+    pos, owned = iv.ZERO, False
+    for piece, label in pieces:
+        if piece.lo != pos or piece.lo_closed == owned:
+            raise PartitionError(f"gap or overlap at {pos}: {pieces}")
+        pos, owned = piece.hi, piece.hi_closed
+        mask = _LABEL_CLASSES[label]
+        full &= mask
+        if piece.lo != piece.hi or iv.ZERO < piece.lo < iv.ONE:
+            meets |= mask
+            covers &= mask
+        starts, ends = mask & ~prev, prev & ~mask
+        # runs start at 0 closed and end at 1 closed; at a cut inside (0,1)
+        # exactly one of the two pieces owns the cut point
+        if prev and piece.lo_closed:
+            not_open |= starts
+            not_closed |= ends
+            if starts & _INCOMPARABLE:
+                hits |= FLIMSY_HIT
+            if ends & _INCOMPARABLE and mask & _STRICT:
+                hits |= FRAGILE_HIT
+        elif prev:
+            not_closed |= starts
+            not_open |= ends
+            if starts & _INCOMPARABLE and prev & _STRICT:
+                hits |= FRAGILE_HIT
+            if ends & _INCOMPARABLE:
+                hits |= FLIMSY_HIT
+        not_convex |= starts & seen
+        seen |= starts
+        prev = mask
+    if pos != iv.ONE or not owned:
+        raise PartitionError(f"partition does not reach 1: {pieces}")
+    return (
+        (_ALL_CLASSES & ~not_closed) << CLOSED
+        | (_ALL_CLASSES & ~not_open) << OPEN
+        | (_ALL_CLASSES & ~not_convex) << CONVEX
+        | full << FULL_SET
+        | meets << MEETS_OPEN_UNIT
+        | covers << COVERS_OPEN_UNIT
+        | hits
+    )
+
+
 @dataclass(frozen=True)
 class LabeledPartition:
-    """Exact cover of [0,1] by labeled intervals, sorted and disjoint."""
+    """Exact cover of [0,1] by labeled intervals, sorted and disjoint;
+    construction raises PartitionError on a gap or an overlap.
+
+    `flags` is its flag word: one bit per (section, property) pair of
+    `flag_bit`, plus FRAGILE_HIT and FLIMSY_HIT.
+    """
 
     pieces: tuple[tuple[Interval, Label], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "_sections", {})
+        object.__setattr__(self, "flags", _flag_word(self.pieces))
 
     def label_at(self, lam: Fraction) -> Label:
         for piece, label in self.pieces:
@@ -106,16 +189,6 @@ def assemble_partition(sections: dict[Label, SectionSet]) -> LabeledPartition:
         for piece in sec.intervals:
             pieces.append((piece, label))
     pieces.sort(key=lambda item: (item[0].lo, not item[0].lo_closed))
-
-    pos = iv.ZERO
-    expect_closed = True
-    for piece, _ in pieces:
-        if piece.lo != pos or piece.lo_closed != expect_closed:
-            raise PartitionError(f"gap or overlap at {pos}: {pieces}")
-        pos = piece.hi
-        expect_closed = not piece.hi_closed
-    if pos != iv.ONE or expect_closed:
-        raise PartitionError(f"partition does not reach 1: {pieces}")
     return LabeledPartition(tuple(pieces))
 
 
@@ -198,11 +271,48 @@ class RelationModel:
             self._segment_cache[key] = got
         return got
 
+    def section_flags(self, x: Point, y: Point, z: Point) -> int:
+        """Flag word of the partition for (x, y, z).  Its bits are mirror
+        invariant, so a cached (y, x, z) partition answers without a mirror."""
+        cache = self._segment_cache
+        got = cache.get((x, y, z))
+        if got is None:
+            got = cache.get((y, x, z))
+            if got is None:
+                got = self.segment(x, y, z)
+        return got.flags
+
     def section(self, x: Point, y: Point, z: Point, which: str) -> SectionSet:
         return self.segment(x, y, z).section(which)
 
     def descriptor(self) -> dict:  # pragma: no cover - overridden
         return {"kind": self.kind}
+
+
+def _over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
+    """(d, n) with values[i] == n[i] / d and d > 0 their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+
+
+def _cut_index(cuts: list, num: int, den: int) -> int:
+    """Index of the weight num/den (den > 0, at most 1) in the sorted list of
+    [num, den, tags] cuts that ends at 1, inserting it if new."""
+    i = 0
+    while num * cuts[i][1] > cuts[i][0] * den:
+        i += 1
+    if num * cuts[i][1] != cuts[i][0] * den:
+        cuts.insert(i, [num, den, 0])
+    return i
+
+
+_GE_LO, _GE_HI, _LE_LO, _LE_HI = 1, 2, 4, 8
+_PAIR_LABEL = {
+    (True, True): Label.INDIFFERENT,
+    (True, False): Label.STRICT_ABOVE,
+    (False, True): Label.STRICT_BELOW,
+    (False, False): Label.INCOMPARABLE,
+}
 
 
 class MultiUtility(RelationModel):
@@ -216,77 +326,87 @@ class MultiUtility(RelationModel):
             raise ValueError("need one or more utility vectors of equal length")
         super().__init__(space or Simplex(len(utils[0])))
         self.utilities = utils
-        self._dots: dict[Point, tuple[Fraction, ...]] = {}
+        # each row times its positive common denominator: same comparisons
+        self._rows = tuple(_over_common_denominator(u)[1] for u in utils)
+        self._scaled: dict[Point, tuple[int, tuple[int, ...]]] = {}
 
-    def dots(self, p: Point) -> tuple[Fraction, ...]:
-        got = self._dots.get(p)
+    def _scaled_dots(self, p: Point) -> tuple[int, tuple[int, ...]]:
+        """(d, n) with n[i] / d the i-th scaled utility of p, d > 0."""
+        got = self._scaled.get(p)
         if got is None:
-            got = tuple(sum(u * c for u, c in zip(vec, p.coords)) for vec in self.utilities)
-            self._dots[p] = got
+            den, nums = _over_common_denominator(p.coords)
+            got = den, tuple(sum(u * c for u, c in zip(row, nums)) for row in self._rows)
+            self._scaled[p] = got
         return got
 
     def compare(self, x: Point, y: Point) -> ComparisonOutcome:
-        dx, dy = self.dots(x), self.dots(y)
+        (ex, nx), (ey, ny) = self._scaled_dots(x), self._scaled_dots(y)
+        gaps = [a * ey - b * ex for a, b in zip(nx, ny)]
         return ComparisonOutcome.from_weak(
-            all(a >= b for a, b in zip(dx, dy)),
-            all(b >= a for a, b in zip(dx, dy)),
+            all(g >= 0 for g in gaps), all(g <= 0 for g in gaps)
         )
 
-    @staticmethod
-    def _half_space_bounds(coeffs, sign):
-        # intersection of {lam : sign*(a*lam + b) >= 0} over all utilities;
-        # every constraint is non-strict, so the result is a closed interval
-        lo, hi = iv.ZERO, iv.ONE
-        for a, b in coeffs:
-            a, b = sign * a, sign * b
-            if a == 0:
-                if b < 0:
-                    return None
-                continue
-            t = -b / a
-            if a > 0:
-                if t > lo:
-                    lo = t
-            elif t < hi:
-                hi = t
-        if lo > hi:
-            return None
-        return lo, hi
-
-    @staticmethod
-    def _minus_closed(outer, cut) -> list[Interval]:
-        # closed interval minus closed interval: open edges at the cut
-        if outer is None:
-            return []
-        olo, ohi = outer
-        if cut is None or cut[1] < olo or cut[0] > ohi:
-            return [Interval(olo, ohi)]
-        pieces = []
-        if olo < cut[0]:
-            pieces.append(Interval(olo, cut[0], True, False))
-        if cut[1] < ohi:
-            pieces.append(Interval(cut[1], ohi, False, True))
-        return pieces
-
     def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
-        dx, dy, dz = self.dots(x), self.dots(y), self.dots(z)
-        coeffs = [(dx[i] - dy[i], dy[i] - dz[i]) for i in range(len(self.utilities))]
-        ge = self._half_space_bounds(coeffs, 1)
-        le = self._half_space_bounds(coeffs, -1)
+        (ex, nx), (ey, ny), (ez, nz) = (self._scaled_dots(p) for p in (x, y, z))
+        # the i-th utility of x`lam`y minus that of z is (a*lam + b) / (ex*ey*ez);
+        # ge = {lam : every gap >= 0}, le = {lam : every gap <= 0}, each a
+        # closed interval [lo, hi] kept as integer pairs (num, den), den > 0
+        ge_lo, ge_hi, le_lo, le_hi = (0, 1), (1, 1), (0, 1), (1, 1)
+        ge_ok = le_ok = True
+        for vx, vy, vz in zip(nx, ny, nz):
+            a = (vx * ey - vy * ex) * ez
+            b = (vy * ez - vz * ey) * ex
+            if a > 0:  # the gap crosses zero upward at -b/a
+                if -b * ge_lo[1] > ge_lo[0] * a:
+                    ge_lo = (-b, a)
+                if -b * le_hi[1] < le_hi[0] * a:
+                    le_hi = (-b, a)
+            elif a < 0:  # downward at b/(-a)
+                if b * ge_hi[1] < ge_hi[0] * -a:
+                    ge_hi = (b, -a)
+                if b * le_lo[1] > le_lo[0] * -a:
+                    le_lo = (b, -a)
+            elif b < 0:
+                ge_ok = False
+            elif b > 0:
+                le_ok = False
+        ge_ok = ge_ok and ge_lo[0] * ge_hi[1] <= ge_hi[0] * ge_lo[1]
+        le_ok = le_ok and le_lo[0] * le_hi[1] <= le_hi[0] * le_lo[1]
 
-        eq = EMPTY
-        if ge is not None and le is not None:
-            elo, ehi = max(ge[0], le[0]), min(ge[1], le[1])
-            if elo <= ehi:
-                eq = SectionSet((Interval(elo, ehi),))
-        ge_set = EMPTY if ge is None else SectionSet((Interval(*ge),))
-        le_set = EMPTY if le is None else SectionSet((Interval(*le),))
-        return assemble_partition({
-            Label.STRICT_ABOVE: iv.normalize(self._minus_closed(ge, le)),
-            Label.STRICT_BELOW: iv.normalize(self._minus_closed(le, ge)),
-            Label.INDIFFERENT: eq,
-            Label.INCOMPARABLE: iv.complement(iv.union(ge_set, le_set)),
-        })
+        cuts = [[0, 1, 0], [1, 1, 0]]
+        for ok, bounds, tags in ((ge_ok, (ge_lo, ge_hi), (_GE_LO, _GE_HI)),
+                                 (le_ok, (le_lo, le_hi), (_LE_LO, _LE_HI))):
+            if ok:
+                for (num, den), tag in zip(bounds, tags):
+                    cuts[_cut_index(cuts, num, den)][2] |= tag
+        return LabeledPartition(self._runs(cuts))
+
+    @staticmethod
+    def _runs(cuts: list) -> tuple:
+        """Maximal same-label runs over the sorted cuts: each cut point and
+        each open gap between cuts is labeled by its ge/le membership."""
+        pieces = []
+        in_ge = in_le = False
+        start = start_closed = label = None
+        weights = [iv.ZERO] + [Fraction(num, den) for num, den, _ in cuts[1:-1]] + [iv.ONE]
+        for k, (_, _, tags) in enumerate(cuts):
+            at = weights[k]
+            point_ge = in_ge or bool(tags & _GE_LO)
+            point_le = in_le or bool(tags & _LE_LO)
+            in_ge = point_ge and not tags & _GE_HI
+            in_le = point_le and not tags & _LE_HI
+            # the point, then the open gap after it (none after 1)
+            elementary = [(_PAIR_LABEL[point_ge, point_le], True)]
+            if k + 1 < len(cuts):
+                elementary.append((_PAIR_LABEL[in_ge, in_le], False))
+            for lab, is_point in elementary:
+                if lab is label:
+                    continue
+                if label is not None:
+                    pieces.append((Interval(start, at, start_closed, not is_point), label))
+                start, start_closed, label = at, is_point, lab
+        pieces.append((Interval(start, iv.ONE, start_closed, True), label))
+        return tuple(pieces)
 
     def descriptor(self) -> dict:
         return {

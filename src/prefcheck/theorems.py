@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .axioms import AxiomEngine, AxiomId, Universe
-from .relations import ComparisonOutcome, RelationModel
+from .relations import CONVEX, ComparisonOutcome, RelationModel
 from .verdicts import AxiomVerdict, Status
 
 
@@ -314,18 +314,15 @@ def run_all_theorems(
 
 
 def _section_convexity(engine: AxiomEngine, which: str, name: str) -> AxiomVerdict:
-    from .intervals import analyze
-
     if not engine.rel.has_segment_oracle:
         return AxiomVerdict(name, Status.NOT_APPLICABLE, note="no segment oracle")
-    for x in engine.points:
-        for y in engine.points:
-            for z in engine.points:
-                sec = engine.section(x, y, z, which)
-                if not analyze(sec).is_convex:
-                    return AxiomVerdict(
-                        name, Status.FAILS, {"x": x, "y": y, "z": z, "section": sec}
-                    )
+    bad = engine.first_section_failure(((which, CONVEX),))
+    if bad:
+        x, y, z, _ = bad
+        return AxiomVerdict(
+            name, Status.FAILS,
+            {"x": x, "y": y, "z": z, "section": engine.section(x, y, z, which)},
+        )
     return AxiomVerdict(name, Status.HOLDS)
 
 

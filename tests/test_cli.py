@@ -63,6 +63,19 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
     model = catalog_model(tmp_path, "eu3")
     code, _, err = run_cli(capsys, "axioms", model, "--axiom", "bogus")
     assert code == 2
+    code, _, err = run_cli(capsys, "axioms", model, "--closure-depth", "-1")
+    assert code == 2 and "error:" in err
+    relation = {"kind": "multi_utility", "utilities": [["1", "0", "0"]]}
+    for name, raw in (
+        ("scalar_points", {"relation": relation, "universe": {"points": [1, 2]}}),
+        ("array", [relation]),
+        ("negative_depth", {"relation": relation, "universe": {
+            "points": [["1", "0", "0"]], "closure_depth": -1}}),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "axioms", str(path))
+        assert code == 2 and "error:" in err, name
 
 
 def test_theorem_subcommand(tmp_path, capsys):

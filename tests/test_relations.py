@@ -1,14 +1,26 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefcheck import intervals as iv
 from prefcheck.catalog import ENTRY_IDS, load_entry
-from prefcheck.intervals import FULL, interval, point, union
+from prefcheck.intervals import FULL, OPEN_UNIT, Interval, interval, point, union
 from prefcheck.quadratic import quad_pt
 from prefcheck.relations import (
+    CLOSED,
+    CONVEX,
+    COVERS_OPEN_UNIT,
+    FLIMSY_HIT,
+    FRAGILE_HIT,
+    FULL_SET,
+    MEETS_OPEN_UNIT,
+    OPEN,
+    SECTION_LABELS,
     ComparisonOutcome,
     Label,
+    LabeledPartition,
     MultiUtility,
     NotRepresentableError,
     OUTCOME_TO_LABEL,
@@ -19,9 +31,10 @@ from prefcheck.relations import (
     assemble_partition,
     classify_segment,
     compare,
+    flag_bit,
     section,
 )
-from prefcheck.spaces import CarrierError, pt
+from prefcheck.spaces import CarrierError, Point, pt
 
 F = Fraction
 
@@ -208,3 +221,139 @@ def test_assemble_partition_rejects_gaps_and_overlaps():
             Label.INDIFFERENT: interval(0, F(1, 2)),
             Label.INCOMPARABLE: interval(F(1, 2), 1),
         })
+
+
+# ---------------------------------------------------------------------------
+# flag words and the integer multi-utility oracle, against intervals.py
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def partitions(draw):
+    """A random tiling of [0,1]: rational cuts, each cut point and each gap
+    labeled at random, merged into maximal same-label runs unless `raw`."""
+    cuts = sorted(set(draw(st.lists(
+        st.fractions(min_value=0, max_value=1, max_denominator=12), max_size=4,
+    ))) - {iv.ZERO, iv.ONE})
+    weights = [iv.ZERO, *cuts, iv.ONE]
+    labels = st.sampled_from(list(Label))
+    elementary = [(Interval(weights[0], weights[0]), draw(labels))]
+    for lo, hi in zip(weights, weights[1:]):
+        elementary.append((Interval(lo, hi, False, False), draw(labels)))
+        elementary.append((Interval(hi, hi), draw(labels)))
+    if draw(st.booleans()):  # raw: adjacent pieces may share a label
+        return LabeledPartition(tuple(elementary))
+    runs = [elementary[0]]
+    for piece, label in elementary[1:]:
+        last, last_label = runs[-1]
+        if label is last_label:
+            runs[-1] = (Interval(last.lo, piece.hi, last.lo_closed, piece.hi_closed), label)
+        else:
+            runs.append((piece, label))
+    return LabeledPartition(tuple(runs))
+
+
+def _reference_flags(part):
+    """The flag word rebuilt from interval-set answers."""
+    word = 0
+    for which in SECTION_LABELS:
+        sec = part.section(which)
+        report = iv.analyze(sec)
+        for prop, holds in (
+            (CLOSED, report.is_closed),
+            (OPEN, report.is_open),
+            (CONVEX, report.is_convex),
+            (FULL_SET, sec == FULL),
+            (MEETS_OPEN_UNIT, not iv.intersect(sec, OPEN_UNIT).is_empty()),
+            (COVERS_OPEN_UNIT, iv.is_subset(OPEN_UNIT, sec)),
+        ):
+            if holds:
+                word |= flag_bit(which, prop)
+    strict = iv.union(part.section("gt"), part.section("lt"))
+    bowtie = part.section("incomparable")
+    if not iv.intersect(strict, iv.closure(iv.interior(bowtie))).is_empty():
+        word |= FRAGILE_HIT
+    comparable = iv.union(part.section("ge"), part.section("le"))
+    if not iv.intersect(bowtie, iv.closure(comparable)).is_empty():
+        word |= FLIMSY_HIT
+    return word
+
+
+@settings(max_examples=400, deadline=None)
+@given(partitions())
+def test_flag_word_matches_interval_sets(part):
+    mirror = part.mirrored()
+    assert part.flags == _reference_flags(part)
+    assert mirror.flags == _reference_flags(mirror)
+    assert mirror.flags == part.flags
+
+
+def test_partition_rejects_bad_tilings():
+    half = F(1, 2)
+    for pieces in (
+        (),
+        ((Interval(0, half, True, False), Label.INDIFFERENT),),
+        ((Interval(0, half), Label.INDIFFERENT), (Interval(half, 1), Label.INCOMPARABLE)),
+        ((Interval(0, half, True, False), Label.INDIFFERENT),
+         (Interval(half, 1, False, True), Label.INCOMPARABLE)),
+        ((Interval(0, 1, False, True), Label.INDIFFERENT),),
+        ((Interval(0, 1, True, False), Label.INDIFFERENT),),
+    ):
+        with pytest.raises(PartitionError):
+            LabeledPartition(pieces)
+
+
+@st.composite
+def simplex_points(draw, n):
+    weights = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    if not any(weights):
+        weights[draw(st.integers(0, n - 1))] = 1
+    return Point(tuple(F(w, sum(weights)) for w in weights))
+
+
+@st.composite
+def oracle_cases(draw):
+    n = draw(st.integers(2, 4))
+    entries = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = [0] * n
+    x, y, z = (draw(simplex_points(n)) for _ in range(3))
+    shape = draw(st.sampled_from(["distinct", "x==y", "z==x", "z==y", "all equal"]))
+    if shape in ("x==y", "all equal"):
+        y = x
+    if shape in ("z==x", "all equal"):
+        z = x
+    if shape == "z==y":
+        z = y
+    return rows, x, y, z
+
+
+def _reference_partition(utilities, x, y, z):
+    """Sections from `affine_ge`/`affine_le` and interval-set algebra alone."""
+    ge = le = FULL
+    for u in utilities:
+        ux, uy, uz = (sum(F(a) * c for a, c in zip(u, p.coords)) for p in (x, y, z))
+        ge = iv.intersect(ge, affine_ge(ux - uy, uy, uz))
+        le = iv.intersect(le, affine_le(ux - uy, uy, uz))
+    return assemble_partition({
+        Label.STRICT_ABOVE: iv.difference(ge, le),
+        Label.STRICT_BELOW: iv.difference(le, ge),
+        Label.INDIFFERENT: iv.intersect(ge, le),
+        Label.INCOMPARABLE: iv.complement(iv.union(ge, le)),
+    })
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_cases())
+def test_integer_oracle_matches_reference(case):
+    rows, x, y, z = case
+    rel = MultiUtility(rows)
+    got = rel.classify_segment(x, y, z)
+    want = _reference_partition(rows, x, y, z)
+    assert got.pieces == want.pieces
+    assert got.flags == want.flags
+    dx, dy = ([sum(F(a) * c for a, c in zip(u, p.coords)) for u in rows] for p in (x, y))
+    assert rel.compare(x, y) is ComparisonOutcome.from_weak(
+        all(a >= b for a, b in zip(dx, dy)), all(b >= a for a, b in zip(dx, dy))
+    )

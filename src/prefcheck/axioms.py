@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import intervals as iv
 from .intervals import OPEN_UNIT, SectionSet, representative
@@ -30,7 +30,7 @@ from .relations import (
     RelationModel,
     flag_bit,
 )
-from .spaces import DEFAULT_GRID, Point, augment_points
+from .spaces import DEFAULT_GRID, Point, augment_points, point_to_json
 from .verdicts import AxiomVerdict, Status
 
 
@@ -89,8 +89,6 @@ class Universe:
     grid: tuple[Fraction, ...] = DEFAULT_GRID
 
     def to_json(self) -> dict:
-        from .spaces import point_to_json
-
         return {
             "points": [point_to_json(p) for p in self.points],
             "closure_depth": self.closure_depth,
@@ -111,6 +109,47 @@ def _na(axiom, note):
 
 
 GT_MEETS, LT_MEETS = flag_bit("gt", MEETS_OPEN_UNIT), flag_bit("lt", MEETS_OPEN_UNIT)
+
+WEAK = frozenset((ComparisonOutcome.BETTER, ComparisonOutcome.EQUIVALENT))
+NOT_WEAK = frozenset(ComparisonOutcome) - WEAK
+STRICT = frozenset((ComparisonOutcome.BETTER,))
+NOT_STRICT = frozenset(ComparisonOutcome) - STRICT
+EQUIV = frozenset((ComparisonOutcome.EQUIVALENT,))
+
+
+def _chain_axiom(axiom, first, second, then):
+    """A `_check_` method: `axiom` fails on the first chain x, y, z with
+    (x, y) in `first` and (y, z) in `second` but (x, z) not in `then`.
+    Each call makes a new function, so per-axiom tracing tells axioms apart."""
+
+    def check(self):
+        bad = self.first_broken_chain(first, second, then)
+        if bad is None:
+            return _holds(axiom)
+        return _fails(axiom, {"x": bad[0], "y": bad[1], "z": bad[2]})
+
+    return check
+
+
+def _section_axiom(axiom, *which_props):
+    """A `_check_` method: `axiom` holds unless some triple's section lacks its
+    property; the witness carries that section, and `which` when there are two."""
+
+    def check(self):
+        na = self._oracle_or_na(axiom)
+        if na:
+            return na
+        bad = self.first_section_failure(which_props)
+        if bad is None:
+            return _holds(axiom)
+        x, y, z, which = bad
+        witness = {"x": x, "y": y, "z": z}
+        if len(which_props) > 1:
+            witness["which"] = which
+        witness["section"] = self.section(x, y, z, which)
+        return _fails(axiom, witness)
+
+    return check
 
 
 class AxiomEngine:
@@ -140,7 +179,7 @@ class AxiomEngine:
         return got
 
     def weak(self, x, y) -> bool:
-        return self.compare(x, y) in (ComparisonOutcome.BETTER, ComparisonOutcome.EQUIVALENT)
+        return self.compare(x, y) in WEAK
 
     def strict(self, x, y) -> bool:
         return self.compare(x, y) is ComparisonOutcome.BETTER
@@ -206,6 +245,28 @@ class AxiomEngine:
 
     # -- order axioms ---------------------------------------------------------
 
+    def first_broken_chain(self, first, second, then):
+        """First (x, y, z) in scan order with compare(x, y) in `first` and
+        compare(y, z) in `second` but compare(x, z) not in `then`; None when
+        there is none.  z is not scanned when the (x, y) premise fails."""
+        for x in self.points:
+            for y in self.points:
+                if self.compare(x, y) not in first:
+                    continue
+                for z in self.points:
+                    if self.compare(y, z) in second and self.compare(x, z) not in then:
+                        return x, y, z
+        return None
+
+    def first_pair(self, outcomes, distinct=False):
+        """First (x, y) in scan order with compare(x, y) in `outcomes`,
+        skipping x == y when `distinct`; None when there is none."""
+        for x in self.points:
+            for y in self.points:
+                if not (distinct and x == y) and self.compare(x, y) in outcomes:
+                    return x, y
+        return None
+
     def _check_reflexive(self):
         for x in self.points:
             if not self.equiv(x, x):
@@ -213,76 +274,38 @@ class AxiomEngine:
         return _holds(AxiomId.REFLEXIVE)
 
     def _check_complete(self):
-        for x in self.points:
-            for y in self.points:
-                if self.incomparable(x, y):
-                    return _fails(AxiomId.COMPLETE, {"x": x, "y": y})
+        pair = self.first_pair((ComparisonOutcome.INCOMPARABLE,))
+        if pair is not None:
+            return _fails(AxiomId.COMPLETE, {"x": pair[0], "y": pair[1]})
         return _holds(AxiomId.COMPLETE)
 
     def _check_nontrivial(self):
-        for x in self.points:
-            for y in self.points:
-                if self.strict(x, y):
-                    return AxiomVerdict(AxiomId.NONTRIVIAL, Status.HOLDS, {"x": x, "y": y})
+        pair = self.first_pair(STRICT)
+        if pair is not None:
+            return AxiomVerdict(
+                AxiomId.NONTRIVIAL, Status.HOLDS, {"x": pair[0], "y": pair[1]})
         return _fails(AxiomId.NONTRIVIAL, note="no strict pair on the universe")
 
-    def _check_transitive(self):
-        for x in self.points:
-            for y in self.points:
-                if not self.weak(x, y):
-                    continue
-                for z in self.points:
-                    if self.weak(y, z) and not self.weak(x, z):
-                        return _fails(AxiomId.TRANSITIVE, {"x": x, "y": y, "z": z})
-        return _holds(AxiomId.TRANSITIVE)
+    def _check_anti_symmetric(self):
+        pair = self.first_pair(EQUIV, distinct=True)
+        if pair is not None:
+            return _fails(AxiomId.ANTI_SYMMETRIC, {"x": pair[0], "y": pair[1]})
+        return _holds(AxiomId.ANTI_SYMMETRIC)
 
-    def _check_negatively_transitive(self):
-        for x in self.points:
-            for y in self.points:
-                if self.weak(x, y):
-                    continue
-                for z in self.points:
-                    if not self.weak(y, z) and self.weak(x, z):
-                        return _fails(
-                            AxiomId.NEGATIVELY_TRANSITIVE, {"x": x, "y": y, "z": z}
-                        )
-        return _holds(AxiomId.NEGATIVELY_TRANSITIVE)
-
-    def negatively_transitive_strict(self) -> AxiomVerdict:
-        """Negative transitivity of the strict part (not a Table axiom)."""
-        name = "negatively_transitive_strict"
-        for x in self.points:
-            for y in self.points:
-                if self.strict(x, y):
-                    continue
-                for z in self.points:
-                    if not self.strict(y, z) and self.strict(x, z):
-                        return _fails(name, {"x": x, "y": y, "z": z})
-        return _holds(name)
-
-    def _check_semi_transitive_down(self):
-        for x in self.points:
-            for y in self.points:
-                if not self.strict(x, y):
-                    continue
-                for z in self.points:
-                    if self.equiv(y, z) and not self.strict(x, z):
-                        return _fails(
-                            AxiomId.SEMI_TRANSITIVE_DOWN, {"x": x, "y": y, "z": z}
-                        )
-        return _holds(AxiomId.SEMI_TRANSITIVE_DOWN)
-
-    def _check_semi_transitive_up(self):
-        for x in self.points:
-            for y in self.points:
-                if not self.equiv(x, y):
-                    continue
-                for z in self.points:
-                    if self.strict(y, z) and not self.strict(x, z):
-                        return _fails(
-                            AxiomId.SEMI_TRANSITIVE_UP, {"x": x, "y": y, "z": z}
-                        )
-        return _holds(AxiomId.SEMI_TRANSITIVE_UP)
+    # premise on (x, y), premise on (y, z), conclusion on (x, z)
+    _check_transitive = _chain_axiom(AxiomId.TRANSITIVE, WEAK, WEAK, WEAK)
+    _check_negatively_transitive = _chain_axiom(
+        AxiomId.NEGATIVELY_TRANSITIVE, NOT_WEAK, NOT_WEAK, NOT_WEAK)
+    _check_semi_transitive_down = _chain_axiom(
+        AxiomId.SEMI_TRANSITIVE_DOWN, STRICT, EQUIV, STRICT)
+    _check_semi_transitive_up = _chain_axiom(
+        AxiomId.SEMI_TRANSITIVE_UP, EQUIV, STRICT, STRICT)
+    _check_transitive_sym = _chain_axiom(AxiomId.TRANSITIVE_SYM, EQUIV, EQUIV, EQUIV)
+    _check_transitive_strict = _chain_axiom(
+        AxiomId.TRANSITIVE_STRICT, STRICT, STRICT, STRICT)
+    # negative transitivity of the strict part (not a Table axiom)
+    negatively_transitive_strict = _chain_axiom(
+        "negatively_transitive_strict", NOT_STRICT, NOT_STRICT, NOT_STRICT)
 
     def _check_semi_transitive(self):
         down = self.verdict(AxiomId.SEMI_TRANSITIVE_DOWN)
@@ -293,33 +316,6 @@ class AxiomEngine:
         bad_name = getattr(bad.axiom, "value", bad.axiom)
         return _fails(AxiomId.SEMI_TRANSITIVE, bad.witness, note=f"{bad_name} fails")
 
-    def _check_transitive_sym(self):
-        for x in self.points:
-            for y in self.points:
-                if not self.equiv(x, y):
-                    continue
-                for z in self.points:
-                    if self.equiv(y, z) and not self.equiv(x, z):
-                        return _fails(AxiomId.TRANSITIVE_SYM, {"x": x, "y": y, "z": z})
-        return _holds(AxiomId.TRANSITIVE_SYM)
-
-    def _check_transitive_strict(self):
-        for x in self.points:
-            for y in self.points:
-                if not self.strict(x, y):
-                    continue
-                for z in self.points:
-                    if self.strict(y, z) and not self.strict(x, z):
-                        return _fails(AxiomId.TRANSITIVE_STRICT, {"x": x, "y": y, "z": z})
-        return _holds(AxiomId.TRANSITIVE_STRICT)
-
-    def _check_anti_symmetric(self):
-        for x in self.points:
-            for y in self.points:
-                if x != y and self.equiv(x, y):
-                    return _fails(AxiomId.ANTI_SYMMETRIC, {"x": x, "y": y})
-        return _holds(AxiomId.ANTI_SYMMETRIC)
-
     # -- section topology axioms ----------------------------------------------
 
     def _oracle_or_na(self, axiom):
@@ -327,36 +323,12 @@ class AxiomEngine:
             return _na(axiom, "sections are not finite interval unions for this relation")
         return None
 
-    def _section_property(self, axiom, which_props):
-        """Holds unless some triple's section lacks its property; the witness
-        carries that section, and `which` when the axiom reads two."""
-        na = self._oracle_or_na(axiom)
-        if na:
-            return na
-        bad = self.first_section_failure(which_props)
-        if bad is None:
-            return _holds(axiom)
-        x, y, z, which = bad
-        witness = {"x": x, "y": y, "z": z}
-        if len(which_props) > 1:
-            witness["which"] = which
-        witness["section"] = self.section(x, y, z, which)
-        return _fails(axiom, witness)
-
-    def _check_mixture_continuous(self):
-        return self._section_property(
-            AxiomId.MIXTURE_CONTINUOUS, (("ge", CLOSED), ("le", CLOSED))
-        )
-
-    def _check_open_strict_sections(self):
-        return self._section_property(
-            AxiomId.OPEN_STRICT_SECTIONS, (("gt", OPEN), ("lt", OPEN))
-        )
-
-    def _check_open_incomparable_sections(self):
-        return self._section_property(
-            AxiomId.OPEN_INCOMPARABLE_SECTIONS, (("incomparable", OPEN),)
-        )
+    _check_mixture_continuous = _section_axiom(
+        AxiomId.MIXTURE_CONTINUOUS, ("ge", CLOSED), ("le", CLOSED))
+    _check_open_strict_sections = _section_axiom(
+        AxiomId.OPEN_STRICT_SECTIONS, ("gt", OPEN), ("lt", OPEN))
+    _check_open_incomparable_sections = _section_axiom(
+        AxiomId.OPEN_INCOMPARABLE_SECTIONS, ("incomparable", OPEN))
 
     def _check_archimedean(self):
         # Each half carries its own incomparability guard: the upper half is
@@ -586,52 +558,3 @@ class AxiomEngine:
                 note="incomparable weight is a limit of comparable weights",
             )
         return _fails(AxiomId.FLIMSY, note="no flimsy weight on the universe")
-
-
-# ---------------------------------------------------------------------------
-# Module-level checker surface
-# ---------------------------------------------------------------------------
-
-
-def check_order_axioms(rel: RelationModel, universe: Universe) -> dict[str, AxiomVerdict]:
-    engine = AxiomEngine(rel, universe)
-    return {a.value: engine.verdict(a) for a in ORDER_AXIOMS}
-
-
-def check_mixture_continuity(rel, universe) -> AxiomVerdict:
-    return AxiomEngine(rel, universe).verdict(AxiomId.MIXTURE_CONTINUOUS)
-
-
-def check_archimedean(rel, universe) -> AxiomVerdict:
-    return AxiomEngine(rel, universe).verdict(AxiomId.ARCHIMEDEAN)
-
-
-def check_strong_archimedean(rel, universe) -> AxiomVerdict:
-    return AxiomEngine(rel, universe).verdict(AxiomId.STRONG_ARCHIMEDEAN)
-
-
-def check_open_strict_sections(rel, universe) -> AxiomVerdict:
-    return AxiomEngine(rel, universe).verdict(AxiomId.OPEN_STRICT_SECTIONS)
-
-
-def check_open_incomparable_sections(rel, universe) -> AxiomVerdict:
-    return AxiomEngine(rel, universe).verdict(AxiomId.OPEN_INCOMPARABLE_SECTIONS)
-
-
-def check_convexity_family(rel, universe) -> dict[str, AxiomVerdict]:
-    engine = AxiomEngine(rel, universe)
-    return {a.value: engine.verdict(a) for a in CONVEXITY_AXIOMS}
-
-
-def check_independence(rel, universe, grid: Optional[Sequence[Fraction]] = None) -> AxiomVerdict:
-    if grid is not None:
-        universe = Universe(universe.points, universe.closure_depth, tuple(grid))
-    return AxiomEngine(rel, universe).verdict(AxiomId.INDEPENDENT)
-
-
-def check_fragile(rel, universe) -> AxiomVerdict:
-    return AxiomEngine(rel, universe).verdict(AxiomId.FRAGILE)
-
-
-def check_flimsy(rel, universe) -> AxiomVerdict:
-    return AxiomEngine(rel, universe).verdict(AxiomId.FLIMSY)

@@ -17,8 +17,13 @@ from typing import Optional
 from .axioms import ALL_AXIOMS, AxiomEngine, Universe
 from .catalog import UnknownEntryError, load_entry, run_catalog
 from .generate import fuzz_corpus, soundness_violations
-from .relations import ComparisonOutcome, MultiUtility
-from .representation import CalibrationError, calibrate, verify_representation
+from .relations import MultiUtility
+from .representation import (
+    CalibrationError,
+    calibrate,
+    extreme_points,
+    verify_representation,
+)
 from .spaces import (
     DEFAULT_GRID,
     point_from_json,
@@ -97,13 +102,16 @@ def load_model(path: str, grid_override=None, depth_override=None):
         u = raw["universe"]
         try:
             points = tuple(point_from_json(p) for p in u["points"])
+            depth = u.get("closure_depth", 1)
             universe = Universe(
                 points,
-                int(u.get("closure_depth", 1)),
+                depth,
                 _parse_grid(u.get("grid", [str(g) for g in DEFAULT_GRID])),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"bad universe: {exc}")
+        if not isinstance(depth, int) or isinstance(depth, bool):
+            raise ModelError(f"closure_depth must be an integer, got {depth!r}")
     elif universe is None:
         if hasattr(space, "vertices"):
             universe = Universe(tuple(space.vertices()))
@@ -236,12 +244,7 @@ def cmd_represent(args) -> int:
         except (ValueError, IndexError) as exc:
             raise ModelError(f"bad --anchors (want two point indices): {exc}")
     else:
-        low = high = engine.points[0]
-        for p in engine.points[1:]:
-            if engine.compare(p, low) is ComparisonOutcome.WORSE:
-                low = p
-            if engine.compare(p, high) is ComparisonOutcome.BETTER:
-                high = p
+        low, high = extreme_points(engine)
 
     try:
         rep, trace = calibrate(relation, universe, low, high, engine=engine)
@@ -317,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--pretty", action="store_true",
-                       help="emit human-readable lines (default)")
 
     def model_opts(p):
         p.add_argument("model", help="path to a JSON model file")

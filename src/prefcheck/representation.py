@@ -138,6 +138,19 @@ def _require_hypotheses(engine: AxiomEngine) -> None:
         raise CalibrationError(f"calibration hypotheses fail on the universe: {bad}")
 
 
+def extreme_points(engine: AxiomEngine) -> tuple[Point, Point]:
+    """Default calibration anchors (low, high): starting from the first
+    point, each later point replaces low when strictly worse than it and
+    high when strictly better."""
+    low = high = engine.points[0]
+    for p in engine.points[1:]:
+        if engine.compare(p, low) is ComparisonOutcome.WORSE:
+            low = p
+        if engine.compare(p, high) is ComparisonOutcome.BETTER:
+            high = p
+    return low, high
+
+
 def calibrate(
     rel: RelationModel,
     universe: Universe,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .intervals import ONE, ZERO, Interval, SectionSet, rat
@@ -295,59 +296,33 @@ def check_c1_c2(
     A pass certifies the tested tuples only, hence status `sampled`;
     failures are definitive and carry a witness.
     """
-    verdicts: dict[str, AxiomVerdict] = {}
-
-    c1_witness = None
     inner_grid = [g for g in grid if ZERO < g < ONE]
-    for x in points:
-        for y in points:
-            for y_prime in points:
-                if y == y_prime:
-                    continue
-                for lam in inner_grid:
-                    if space.mix(x, lam, y) == space.mix(x, lam, y_prime):
-                        c1_witness = {"x": x, "y": y, "y_prime": y_prime, "lam": lam}
-                        break
-                if c1_witness:
-                    break
-            if c1_witness:
-                break
-        if c1_witness:
-            break
-    verdicts["C1"] = (
-        AxiomVerdict("C1", Status.FAILS, c1_witness)
-        if c1_witness
-        else AxiomVerdict("C1", Status.SAMPLED, note="no violation on tested tuples")
-    )
+    c1_witness = next((
+        {"x": x, "y": y, "y_prime": y_prime, "lam": lam}
+        for x, y, y_prime in product(points, repeat=3) if y != y_prime
+        for lam in inner_grid
+        if space.mix(x, lam, y) == space.mix(x, lam, y_prime)
+    ), None)
 
-    c2_witness = None
     weights = sorted(set(grid) | {ZERO, ONE})
-    for x in points:
-        for y in points:
-            for z in points:
-                for lam in weights:
-                    for mu in weights:
-                        if lam * mu == 1:
-                            continue
-                        inner = mu * (1 - lam) / (1 - lam * mu)
-                        lhs = space.mix(space.mix(x, lam, y), mu, z)
-                        rhs = space.mix(x, lam * mu, space.mix(y, inner, z))
-                        if lhs != rhs:
-                            c2_witness = {"x": x, "y": y, "z": z, "lam": lam, "mu": mu}
-                            break
-                    if c2_witness:
-                        break
-                if c2_witness:
-                    break
-            if c2_witness:
-                break
-        if c2_witness:
-            break
-    verdicts["C2"] = (
-        AxiomVerdict("C2", Status.FAILS, c2_witness)
-        if c2_witness
-        else AxiomVerdict("C2", Status.SAMPLED, note="no violation on tested tuples")
-    )
+    # (lam, mu, lam * mu, inner weight) for every weight pair with lam * mu != 1
+    pairs = [(lam, mu, lam * mu, mu * (1 - lam) / (1 - lam * mu))
+             for lam, mu in product(weights, repeat=2) if lam * mu != 1]
+    c2_witness = next((
+        {"x": x, "y": y, "z": z, "lam": lam, "mu": mu}
+        for x, y, z in product(points, repeat=3)
+        for lam, mu, lam_mu, inner in pairs
+        if space.mix(space.mix(x, lam, y), mu, z)
+        != space.mix(x, lam_mu, space.mix(y, inner, z))
+    ), None)
+
+    verdicts: dict[str, AxiomVerdict] = {}
+    for name, witness in (("C1", c1_witness), ("C2", c2_witness)):
+        verdicts[name] = (
+            AxiomVerdict(name, Status.FAILS, witness)
+            if witness
+            else AxiomVerdict(name, Status.SAMPLED, note="no violation on tested tuples")
+        )
     return verdicts
 
 

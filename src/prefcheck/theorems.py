@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .axioms import AxiomEngine, AxiomId, Universe
-from .relations import CONVEX, ComparisonOutcome, RelationModel
+from .relations import CONVEX, RelationModel
 from .verdicts import AxiomVerdict, Status
 
 
@@ -169,14 +169,14 @@ def _matches(verdict: AxiomVerdict, expected_pass: bool) -> bool:
 
 
 def _representation_verdict(engine: AxiomEngine) -> AxiomVerdict:
-    from .representation import CalibrationError, calibrate, verify_representation
+    from .representation import (
+        CalibrationError,
+        calibrate,
+        extreme_points,
+        verify_representation,
+    )
 
-    low = high = engine.points[0]
-    for p in engine.points[1:]:
-        if engine.compare(p, low) is ComparisonOutcome.WORSE:
-            low = p
-        if engine.compare(p, high) is ComparisonOutcome.BETTER:
-            high = p
+    low, high = extreme_points(engine)
     if not engine.strict(high, low):
         return AxiomVerdict(
             "representation", Status.FAILS,

@@ -1,27 +1,20 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefcheck import intervals as iv
 from prefcheck.axioms import (
     AxiomEngine,
     AxiomId,
     Universe,
-    check_archimedean,
-    check_convexity_family,
-    check_flimsy,
-    check_fragile,
-    check_independence,
-    check_mixture_continuity,
-    check_open_incomparable_sections,
-    check_open_strict_sections,
-    check_order_axioms,
-    check_strong_archimedean,
 )
 from prefcheck.catalog import ENTRY_IDS, load_entry
 from prefcheck.intervals import FULL, OPEN_UNIT, analyze, interval, point, union
-from prefcheck.relations import ComparisonOutcome, MultiUtility
-from prefcheck.spaces import pt
+from prefcheck.relations import ComparisonOutcome, MultiUtility, PointwiseOnly
+from prefcheck.spaces import RealInterval, pt
 from prefcheck.verdicts import Status
 
 F = Fraction
@@ -39,27 +32,91 @@ def entry_engine(eid):
 
 def test_appx1_order_axioms():
     entry = load_entry("appx1")
-    verdicts = check_order_axioms(entry.relation, entry.universe)
-    assert verdicts["complete"].failed
-    w = verdicts["complete"].witness
+    engine = entry_engine("appx1")
+    assert engine.verdict("complete").failed
+    w = engine.verdict("complete").witness
     assert entry.relation.compare(w["x"], w["y"]) is ComparisonOutcome.INCOMPARABLE
-    assert verdicts["transitive"].passed
-    assert verdicts["nontrivial"].passed
+    assert engine.verdict("transitive").passed
+    assert engine.verdict("nontrivial").passed
 
 
 def test_single_utility_is_total_preorder():
     rel = MultiUtility(((0, 1, 2),))
-    verdicts = check_order_axioms(rel, Universe(tuple(rel.space.vertices())))
+    engine = AxiomEngine(rel, Universe(tuple(rel.space.vertices())))
     for name in ("complete", "transitive", "semi_transitive"):
-        assert verdicts[name].passed
+        assert engine.verdict(name).passed
 
 
 def test_pareto_incompleteness_witnessed():
-    entry = load_entry("pareto2")
-    verdicts = check_order_axioms(entry.relation, entry.universe)
-    assert verdicts["complete"].failed
-    assert verdicts["transitive"].passed
-    assert verdicts["nontrivial"].passed
+    engine = entry_engine("pareto2")
+    assert engine.verdict("complete").failed
+    assert engine.verdict("transitive").passed
+    assert engine.verdict("nontrivial").passed
+
+
+@st.composite
+def outcome_tables(draw):
+    """2-5 points and an arbitrary comparison outcome for every ordered pair."""
+    points = [pt(i) for i in range(draw(st.integers(2, 5)))]
+    outcomes = st.sampled_from(list(ComparisonOutcome))
+    return points, {(x, y): draw(outcomes) for x in points for y in points}
+
+
+@settings(max_examples=300, deadline=None)
+@given(outcome_tables())
+def test_order_verdicts_match_their_definitions(case):
+    """Every order axiom's status and witness equal the first tuple, in
+    scan order, that breaks the axiom's defining formula."""
+    points, table = case
+    rel = PointwiseOnly("table", RealInterval(F(0), F(4)), lambda x, y: table[x, y])
+    engine = AxiomEngine(rel, Universe(tuple(points), closure_depth=0))
+
+    def weak(x, y):
+        return table[x, y] in (ComparisonOutcome.BETTER, ComparisonOutcome.EQUIVALENT)
+
+    def strict(x, y):
+        return table[x, y] is ComparisonOutcome.BETTER
+
+    def equiv(x, y):
+        return table[x, y] is ComparisonOutcome.EQUIVALENT
+
+    def first(arity, broken):
+        for t in product(points, repeat=arity):
+            if broken(*t):
+                return dict(zip("xyz", t))
+        return None
+
+    fails_on = {
+        "reflexive": first(1, lambda x: not equiv(x, x)),
+        "complete": first(2, lambda x, y: table[x, y] is ComparisonOutcome.INCOMPARABLE),
+        "anti_symmetric": first(2, lambda x, y: x != y and equiv(x, y)),
+        "transitive": first(
+            3, lambda x, y, z: weak(x, y) and weak(y, z) and not weak(x, z)),
+        "negatively_transitive": first(
+            3, lambda x, y, z: not weak(x, y) and not weak(y, z) and weak(x, z)),
+        "semi_transitive_down": first(
+            3, lambda x, y, z: strict(x, y) and equiv(y, z) and not strict(x, z)),
+        "semi_transitive_up": first(
+            3, lambda x, y, z: equiv(x, y) and strict(y, z) and not strict(x, z)),
+        "transitive_sym": first(
+            3, lambda x, y, z: equiv(x, y) and equiv(y, z) and not equiv(x, z)),
+        "transitive_strict": first(
+            3, lambda x, y, z: strict(x, y) and strict(y, z) and not strict(x, z)),
+        "negatively_transitive_strict": first(
+            3, lambda x, y, z: not strict(x, y) and not strict(y, z) and strict(x, z)),
+    }
+    fails_on["semi_transitive"] = (fails_on["semi_transitive_down"]
+                                   or fails_on["semi_transitive_up"])
+    for name, witness in fails_on.items():
+        verdict = (engine.negatively_transitive_strict()
+                   if name == "negatively_transitive_strict" else engine.verdict(name))
+        assert verdict.status is (Status.FAILS if witness else Status.HOLDS), name
+        assert verdict.witness == witness, name
+    # nontrivial is existential: it holds, witnessed by the first strict pair
+    strict_pair = first(2, strict)
+    nontrivial = engine.verdict(AxiomId.NONTRIVIAL)
+    assert nontrivial.status is (Status.HOLDS if strict_pair else Status.FAILS)
+    assert nontrivial.witness == strict_pair
 
 
 def test_semi_transitive_is_conjunction_of_halves(entry_engines):
@@ -76,86 +133,77 @@ def test_semi_transitive_is_conjunction_of_halves(entry_engines):
 
 
 def test_mixture_continuity_verdicts():
-    appx1 = load_entry("appx1")
-    assert check_mixture_continuity(appx1.relation, appx1.universe).passed
+    assert entry_engine("appx1").verdict(AxiomId.MIXTURE_CONTINUOUS).passed
 
     appx3 = load_entry("appx3")
-    verdict = check_mixture_continuity(appx3.relation, appx3.universe)
+    verdict = entry_engine("appx3").verdict(AxiomId.MIXTURE_CONTINUOUS)
     assert verdict.failed
     # the weak lower section at (0, 1, 0) is a half-open interval
     sec = appx3.relation.section(pt(0), pt(1), pt(0), "le")
     assert sec == interval(F(1, 2), 1, False, True)
     assert not analyze(sec).is_closed
 
-    eu3 = load_entry("eu3")
-    assert check_mixture_continuity(eu3.relation, eu3.universe).passed
+    assert entry_engine("eu3").verdict(AxiomId.MIXTURE_CONTINUOUS).passed
 
 
 def test_archimedean_verdicts():
-    appx1 = load_entry("appx1")
-    verdict = check_archimedean(appx1.relation, appx1.universe)
+    verdict = entry_engine("appx1").verdict(AxiomId.ARCHIMEDEAN)
     assert verdict.failed
     w = verdict.witness
     assert w["x"] == pt(1) and w["y"] == pt(0)
     # no interior weight keeps the mixture strictly above the bottom
     assert iv.intersect(w["section"], OPEN_UNIT).is_empty()
 
-    eu3 = load_entry("eu3")
-    assert check_archimedean(eu3.relation, eu3.universe).passed
+    assert entry_engine("eu3").verdict(AxiomId.ARCHIMEDEAN).passed
 
-    fragile = load_entry("fragile_unit")
-    assert check_archimedean(fragile.relation, fragile.universe).failed
+    assert entry_engine("fragile_unit").verdict(AxiomId.ARCHIMEDEAN).failed
 
 
 def test_strong_archimedean_verdicts():
     appx3 = load_entry("appx3")
-    verdict = check_strong_archimedean(appx3.relation, appx3.universe)
+    verdict = entry_engine("appx3").verdict(AxiomId.STRONG_ARCHIMEDEAN)
     assert verdict.failed
     w = verdict.witness
     assert (w["x"], w["y"], w["z"]) == (pt(F(1, 2)), pt(0), pt(0))
     assert appx3.relation.section(pt(F(1, 2)), pt(0), pt(0), "gt") == point(1)
 
-    appx2 = load_entry("appx2")
-    vacuous = check_strong_archimedean(appx2.relation, appx2.universe)
+    vacuous = entry_engine("appx2").verdict(AxiomId.STRONG_ARCHIMEDEAN)
     assert vacuous.passed and "vacuous" in vacuous.note
 
-    eu3 = load_entry("eu3")
-    assert check_strong_archimedean(eu3.relation, eu3.universe).passed
+    assert entry_engine("eu3").verdict(AxiomId.STRONG_ARCHIMEDEAN).passed
 
 
 def test_pointwise_strong_archimedean_for_quadratic_entry():
-    entry = load_entry("appx4_rationals")
-    verdict = check_strong_archimedean(entry.relation, entry.universe)
+    engine = entry_engine("appx4_rationals")
+    verdict = engine.verdict(AxiomId.STRONG_ARCHIMEDEAN)
     assert verdict.status is Status.HOLDS
     assert verdict.note == "pointwise witness search"
-    assert check_mixture_continuity(entry.relation, entry.universe).status \
+    assert engine.verdict(AxiomId.MIXTURE_CONTINUOUS).status \
         is Status.NOT_APPLICABLE
 
 
 def test_open_strict_sections_verdicts():
     appx1 = load_entry("appx1")
-    assert check_open_strict_sections(appx1.relation, appx1.universe).failed
+    assert entry_engine("appx1").verdict(AxiomId.OPEN_STRICT_SECTIONS).failed
     assert appx1.relation.section(pt(1), pt(0), pt(0), "gt") == point(1)
 
-    appx2 = load_entry("appx2")   # no strict part at all
-    assert check_open_strict_sections(appx2.relation, appx2.universe).passed
+    # appx2 has no strict part at all
+    assert entry_engine("appx2").verdict(AxiomId.OPEN_STRICT_SECTIONS).passed
 
-    eu3 = load_entry("eu3")
-    assert check_open_strict_sections(eu3.relation, eu3.universe).passed
+    assert entry_engine("eu3").verdict(AxiomId.OPEN_STRICT_SECTIONS).passed
 
 
 def test_open_incomparable_sections_verdicts():
     appx2 = load_entry("appx2")
-    verdict = check_open_incomparable_sections(appx2.relation, appx2.universe)
+    verdict = entry_engine("appx2").verdict(AxiomId.OPEN_INCOMPARABLE_SECTIONS)
     assert verdict.failed
     assert appx2.relation.section(pt(1), pt(0), pt(0), "incomparable") \
         == interval(F(1, 2), 1)
 
-    appx3 = load_entry("appx3")   # complete: no incomparability anywhere
-    assert check_open_incomparable_sections(appx3.relation, appx3.universe).passed
+    # appx3 is complete: no incomparability anywhere
+    assert entry_engine("appx3").verdict(AxiomId.OPEN_INCOMPARABLE_SECTIONS).passed
 
-    appx1 = load_entry("appx1")
-    assert check_open_incomparable_sections(appx1.relation, appx1.universe).passed
+    assert entry_engine("appx1").verdict(AxiomId.OPEN_INCOMPARABLE_SECTIONS).passed
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +212,9 @@ def test_open_incomparable_sections_verdicts():
 
 
 def test_star_convex_but_not_convex():
-    entry = load_entry("star_cvx_not_cvx")
-    verdicts = check_convexity_family(entry.relation, entry.universe)
-    assert verdicts["star_convex"].passed
-    convex = verdicts["convex"]
+    engine = entry_engine("star_cvx_not_cvx")
+    assert engine.verdict("star_convex").passed
+    convex = engine.verdict("convex")
     assert convex.failed
     e1, e2, e3 = pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)
     assert (convex.witness["x"], convex.witness["y"], convex.witness["z"]) \
@@ -177,9 +224,9 @@ def test_star_convex_but_not_convex():
 
 def test_single_utility_convexity_family():
     rel = MultiUtility(((0, 1, 2),))
-    verdicts = check_convexity_family(rel, Universe(tuple(rel.space.vertices())))
+    engine = AxiomEngine(rel, Universe(tuple(rel.space.vertices())))
     for name in ("linear", "convex", "concave"):
-        assert verdicts[name].passed
+        assert engine.verdict(name).passed
 
 
 def test_linear_check_requires_lemma_hypotheses():
@@ -203,8 +250,8 @@ def test_linear_check_requires_lemma_hypotheses():
         })
 
     rel = CatalogPiecewise("near", RealInterval(F(0), F(1)), cmp, seg)
-    verdicts = check_convexity_family(rel, Universe((pt(0), pt(F(1, 2)), pt(1))))
-    assert verdicts["linear"].status is Status.NOT_APPLICABLE
+    engine = AxiomEngine(rel, Universe((pt(0), pt(F(1, 2)), pt(1))))
+    assert engine.verdict("linear").status is Status.NOT_APPLICABLE
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +260,16 @@ def test_linear_check_requires_lemma_hypotheses():
 
 
 def test_independence_verdicts():
-    split = load_entry("split_hm")
-    verdict = check_independence(split.relation, split.universe)
+    verdict = entry_engine("split_hm").verdict(AxiomId.INDEPENDENT)
     assert verdict.status is Status.SAMPLED
 
     rel = MultiUtility(((2, 1, 0), (0, 1, 3)))
-    analytic = check_independence(rel, Universe(tuple(rel.space.vertices())))
+    analytic = AxiomEngine(rel, Universe(tuple(rel.space.vertices()))).verdict(
+        AxiomId.INDEPENDENT)
     assert analytic.status is Status.HOLDS
 
     appx3 = load_entry("appx3")
-    broken = check_independence(appx3.relation, appx3.universe)
+    broken = entry_engine("appx3").verdict(AxiomId.INDEPENDENT)
     assert broken.failed
     w = broken.witness
     mixed_x = appx3.space.mix(w["x"], w["lam"], w["z"])
@@ -234,7 +281,7 @@ def test_independence_verdicts():
 
 def test_fragile_unit_is_fragile():
     entry = load_entry("fragile_unit")
-    verdict = check_fragile(entry.relation, entry.universe)
+    verdict = entry_engine("fragile_unit").verdict(AxiomId.FRAGILE)
     assert verdict.status is Status.HOLDS
     # the defining set computation at the sure-thing triple
     part = entry.relation.segment(pt(1), pt(0), pt(0))
@@ -246,14 +293,14 @@ def test_fragile_unit_is_fragile():
 
 def test_complete_relations_are_not_fragile_or_flimsy():
     for eid in ("eu3", "appx3", "split_hm"):
-        entry = load_entry(eid)
-        assert check_fragile(entry.relation, entry.universe).failed
-        assert check_flimsy(entry.relation, entry.universe).failed
+        engine = entry_engine(eid)
+        assert engine.verdict(AxiomId.FRAGILE).failed
+        assert engine.verdict(AxiomId.FLIMSY).failed
 
 
 def test_pareto_is_fragile_with_reverifiable_witness():
     entry = load_entry("pareto2")
-    verdict = check_fragile(entry.relation, entry.universe)
+    verdict = entry_engine("pareto2").verdict(AxiomId.FRAGILE)
     assert verdict.status is Status.HOLDS
     w = verdict.witness
     part = entry.relation.segment(w["x"], w["y"], w["z"])
@@ -264,7 +311,7 @@ def test_pareto_is_fragile_with_reverifiable_witness():
 
 def test_flimsy_0_3_is_flimsy():
     entry = load_entry("flimsy_0_3")
-    verdict = check_flimsy(entry.relation, entry.universe)
+    verdict = entry_engine("flimsy_0_3").verdict(AxiomId.FLIMSY)
     assert verdict.status is Status.HOLDS
     part = entry.relation.segment(pt(3), pt(0), pt(0))
     bowtie = part.section("incomparable")
@@ -272,7 +319,7 @@ def test_flimsy_0_3_is_flimsy():
     comparable = iv.union(part.section("ge"), part.section("le"))
     hit = iv.intersect(bowtie, iv.closure(comparable))
     assert hit == union(point(F(1, 3)), point(F(2, 3)))
-    assert check_fragile(entry.relation, entry.universe).failed
+    assert entry_engine("flimsy_0_3").verdict(AxiomId.FRAGILE).failed
 
 
 def test_fragility_matches_shrinking_neighborhood_test(entry_engines):

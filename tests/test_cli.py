@@ -71,6 +71,12 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
         ("array", [relation]),
         ("negative_depth", {"relation": relation, "universe": {
             "points": [["1", "0", "0"]], "closure_depth": -1}}),
+        ("fractional_depth", {"relation": relation, "universe": {
+            "points": [["1", "0", "0"]], "closure_depth": 1.5}}),
+        ("bool_depth", {"relation": relation, "universe": {
+            "points": [["1", "0", "0"]], "closure_depth": True}}),
+        ("string_depth", {"relation": relation, "universe": {
+            "points": [["1", "0", "0"]], "closure_depth": "2"}}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(raw))

@@ -30,7 +30,7 @@ from .relations import (
     RelationModel,
     flag_bit,
 )
-from .spaces import DEFAULT_GRID, Point, augment_points, point_to_json
+from .spaces import DEFAULT_GRID, Point, augment_points, mixer, point_to_json
 from .verdicts import AxiomVerdict, Status
 
 
@@ -153,7 +153,8 @@ def _section_axiom(axiom, *which_props):
 
 
 class AxiomEngine:
-    """Caches comparisons, sections and verdicts for one (relation, universe)."""
+    """Caches comparisons, grid mixtures, sections and verdicts for one
+    (relation, universe)."""
 
     def __init__(self, rel: RelationModel, universe: Universe):
         self.rel = rel
@@ -163,6 +164,7 @@ class AxiomEngine:
         self.points = augment_points(
             self.space, universe.points, universe.grid, universe.closure_depth
         )
+        self.mix = mixer(self.space)
         self._cmp: dict[tuple[Point, Point], ComparisonOutcome] = {}
         self._verdicts: dict[str, AxiomVerdict] = {}
         self._strict_pairs: Optional[list[tuple[Point, Point]]] = None
@@ -405,9 +407,9 @@ class AxiomEngine:
                 ok = (
                     0 < lam < 1
                     and 0 < delta < 1
-                    and self.rel.compare(self.space.mix(x, lam, z), y)
+                    and self.rel.compare(self.mix(x, lam, z), y)
                     is ComparisonOutcome.BETTER
-                    and self.rel.compare(self.space.mix(y, delta, z), x)
+                    and self.rel.compare(self.mix(y, delta, z), x)
                     is ComparisonOutcome.WORSE
                 )
                 if not ok:  # pragma: no cover - witness constructors are exact
@@ -510,7 +512,7 @@ class AxiomEngine:
                 for z in self.points:
                     for lam in weights:
                         mixed_same = self.compare(
-                            self.space.mix(x, lam, z), self.space.mix(y, lam, z)
+                            self.mix(x, lam, z), self.mix(y, lam, z)
                         ) is ComparisonOutcome.EQUIVALENT
                         if mixed_same != same:
                             return _fails(

@@ -72,15 +72,17 @@ def load_model(path: str, grid_override=None, depth_override=None):
 
     kind = rel_desc["kind"]
     if kind == "catalog":
+        if not isinstance(rel_desc.get("id"), str):
+            raise ModelError("catalog relation needs a string 'id'")
         try:
             entry = load_entry(rel_desc["id"])
-        except (KeyError, UnknownEntryError) as exc:
+        except UnknownEntryError as exc:
             raise ModelError(str(exc))
         space, relation, universe = entry.space, entry.relation, entry.universe
     elif kind == "multi_utility":
         try:
             relation = MultiUtility(rel_desc["utilities"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"bad multi_utility descriptor: {exc}")
         space = relation.space
         universe = None
@@ -88,9 +90,11 @@ def load_model(path: str, grid_override=None, depth_override=None):
         raise ModelError(f"unsupported relation kind: {kind!r}")
 
     if "space" in raw:
+        if not isinstance(raw["space"], dict):
+            raise ModelError("space descriptor must be a JSON object")
         try:
             declared = space_from_json(raw["space"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ModelError(f"bad space descriptor: {exc}")
         if declared.descriptor() != space.descriptor():
             raise ModelError(

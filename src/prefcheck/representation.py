@@ -255,7 +255,7 @@ def verify_representation(
         for y in engine.points:
             vy = representation_value(rep, engine, y)
             for g in weights:
-                mixed = engine.space.mix(x, g, y)
+                mixed = engine.mix(x, g, y)
                 vm = representation_value(rep, engine, mixed)
                 report.mixture_checked += 1
                 if vm != g * vx + (1 - g) * vy:

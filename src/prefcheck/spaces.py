@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .intervals import ONE, ZERO, Interval, SectionSet, rat
 from .verdicts import AxiomVerdict, Status
@@ -208,6 +208,26 @@ def mix(space: MixtureSpace, x: Point, lam, y: Point) -> Point:
     return space.mix(x, lam, y)
 
 
+def mixer(space: MixtureSpace) -> Callable[[Point, Fraction, Point], Point]:
+    """`space.mix` backed by a table keyed on (x, lam, y).
+
+    `mix` is a pure function of its arguments, so the table returns equal
+    points and stays exact; each distinct call reaches the carrier once.
+    A table lives as long as the scan or engine that made it.
+    """
+    table: dict[tuple[Point, Fraction, Point], Point] = {}
+    carrier_mix = space.mix
+
+    def memo(x: Point, lam, y: Point) -> Point:
+        key = (x, lam, y)
+        got = table.get(key)
+        if got is None:
+            got = table[key] = carrier_mix(x, lam, y)
+        return got
+
+    return memo
+
+
 DEFAULT_GRID: tuple[Fraction, ...] = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
@@ -253,37 +273,41 @@ def check_mixture_axioms(
     grid: Sequence[Fraction] = DEFAULT_GRID,
     relation: Optional["RelationModel"] = None,
 ) -> dict[str, AxiomVerdict]:
-    """S1-S4 with structural equality, or M1-M4 with a relation's indifference."""
+    """S1-S4 with structural equality, or M1-M4 with a relation's indifference.
+
+    Each axiom's witness is its first failing tuple in scan order; a failed
+    axiom is not evaluated again.
+    """
     eq = _equality(relation)
     prefix = "S" if relation is None else "M"
-    verdicts: dict[str, AxiomVerdict] = {}
-
-    def fail(name, **witness):
-        verdicts[name] = AxiomVerdict(name, Status.FAILS, witness)
-
     names = [f"{prefix}{i}" for i in (1, 2, 3, 4)]
-    for name in names:
-        verdicts[name] = AxiomVerdict(name, Status.HOLDS)
+    mix = mixer(space)
+    witnesses: list[Optional[dict]] = [None] * 4
 
     for x in points:
         for y in points:
-            if not eq(space.mix(x, ONE, y), x):
-                fail(names[0], x=x, y=y)
+            if witnesses[0] is None and not eq(mix(x, ONE, y), x):
+                witnesses[0] = {"x": x, "y": y}
             for mu in grid:
-                if not eq(space.mix(x, mu, y), space.mix(y, 1 - mu, x)):
-                    fail(names[1], x=x, y=y, mu=mu)
+                if witnesses[1] is None and not eq(mix(x, mu, y), mix(y, 1 - mu, x)):
+                    witnesses[1] = {"x": x, "y": y, "mu": mu}
                 for lam in grid:
-                    if not eq(
-                        space.mix(space.mix(x, mu, y), lam, y),
-                        space.mix(x, lam * mu, y),
+                    if witnesses[2] is None and not eq(
+                        mix(mix(x, mu, y), lam, y), mix(x, lam * mu, y)
                     ):
-                        fail(names[2], x=x, y=y, mu=mu, lam=lam)
-                    for beta in grid:
-                        lhs = space.mix(space.mix(x, lam, y), mu, space.mix(x, beta, y))
-                        rhs = space.mix(x, mu * lam + (1 - mu) * beta, y)
-                        if not eq(lhs, rhs):
-                            fail(names[3], x=x, y=y, lam=lam, mu=mu, beta=beta)
-    return verdicts
+                        witnesses[2] = {"x": x, "y": y, "mu": mu, "lam": lam}
+                    if witnesses[3] is None:
+                        witnesses[3] = next((
+                            {"x": x, "y": y, "lam": lam, "mu": mu, "beta": beta}
+                            for beta in grid
+                            if not eq(mix(mix(x, lam, y), mu, mix(x, beta, y)),
+                                      mix(x, mu * lam + (1 - mu) * beta, y))
+                        ), None)
+    return {
+        name: AxiomVerdict(name, Status.FAILS, witness)
+        if witness else AxiomVerdict(name, Status.HOLDS)
+        for name, witness in zip(names, witnesses)
+    }
 
 
 def check_c1_c2(
@@ -296,12 +320,13 @@ def check_c1_c2(
     A pass certifies the tested tuples only, hence status `sampled`;
     failures are definitive and carry a witness.
     """
+    mix = mixer(space)
     inner_grid = [g for g in grid if ZERO < g < ONE]
     c1_witness = next((
         {"x": x, "y": y, "y_prime": y_prime, "lam": lam}
         for x, y, y_prime in product(points, repeat=3) if y != y_prime
         for lam in inner_grid
-        if space.mix(x, lam, y) == space.mix(x, lam, y_prime)
+        if mix(x, lam, y) == mix(x, lam, y_prime)
     ), None)
 
     weights = sorted(set(grid) | {ZERO, ONE})
@@ -312,8 +337,7 @@ def check_c1_c2(
         {"x": x, "y": y, "z": z, "lam": lam, "mu": mu}
         for x, y, z in product(points, repeat=3)
         for lam, mu, lam_mu, inner in pairs
-        if space.mix(space.mix(x, lam, y), mu, z)
-        != space.mix(x, lam_mu, space.mix(y, inner, z))
+        if mix(mix(x, lam, y), mu, z) != mix(x, lam_mu, mix(y, inner, z))
     ), None)
 
     verdicts: dict[str, AxiomVerdict] = {}
@@ -375,13 +399,14 @@ def quotient(
                             {"x": ca[0], "x_prime": a, "y": cb[0], "y_prime": b},
                         )
 
+    mix = mixer(space)
     for ca in classes:
         for cb in classes:
             for lam in grid:
-                ref = space.mix(ca[0], lam, cb[0])
+                ref = mix(ca[0], lam, cb[0])
                 for a in ca:
                     for b in cb:
-                        got = space.mix(a, lam, b)
+                        got = mix(a, lam, b)
                         if not indifferent(ref, got):
                             raise QuotientError(
                                 "class mixture depends on representatives "

@@ -77,6 +77,9 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
             "points": [["1", "0", "0"]], "closure_depth": True}}),
         ("string_depth", {"relation": relation, "universe": {
             "points": [["1", "0", "0"]], "closure_depth": "2"}}),
+        ("null_utilities", {"relation": {"kind": "multi_utility", "utilities": None}}),
+        ("null_space", {"relation": relation, "space": None}),
+        ("list_catalog_id", {"relation": {"kind": "catalog", "id": [1]}}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(raw))

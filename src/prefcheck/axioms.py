@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from . import intervals as iv
@@ -110,11 +111,14 @@ def _na(axiom, note):
 
 GT_MEETS, LT_MEETS = flag_bit("gt", MEETS_OPEN_UNIT), flag_bit("lt", MEETS_OPEN_UNIT)
 
-WEAK = frozenset((ComparisonOutcome.BETTER, ComparisonOutcome.EQUIVALENT))
-NOT_WEAK = frozenset(ComparisonOutcome) - WEAK
-STRICT = frozenset((ComparisonOutcome.BETTER,))
-NOT_STRICT = frozenset(ComparisonOutcome) - STRICT
-EQUIV = frozenset((ComparisonOutcome.EQUIVALENT,))
+# sets of comparison outcomes, as masks of their `bit`s
+STRICT = ComparisonOutcome.BETTER.bit
+EQUIV = ComparisonOutcome.EQUIVALENT.bit
+WEAK = STRICT | EQUIV
+INCOMPARABLE = ComparisonOutcome.INCOMPARABLE.bit
+_ANY = sum(outcome.bit for outcome in ComparisonOutcome)
+NOT_WEAK = _ANY & ~WEAK
+NOT_STRICT = _ANY & ~STRICT
 
 
 def _chain_axiom(axiom, first, second, then):
@@ -152,9 +156,66 @@ def _section_axiom(axiom, *which_props):
     return check
 
 
+def _full_section_axiom(axiom, which, above):
+    """A `_check_` method: `axiom` fails on the first (x, y, z) with x and y
+    both weakly above z (below it when not `above`) whose section `which` is
+    not all of [0,1]; the witness `lam` is a weight outside it."""
+    full = flag_bit(which, FULL_SET)
+
+    def check(self):
+        na = self._oracle_or_na(axiom)
+        if na:
+            return na
+        weak = self.weak if above else (lambda a, b: self.weak(b, a))
+        word = self.flag_word
+        for i, x in enumerate(self.points):
+            for j, y in enumerate(self.points):
+                for k, z in enumerate(self.points):
+                    if weak(x, z) and weak(y, z) and not word(i, j, k) & full:
+                        sec = self.section(x, y, z, which)
+                        return _fails(
+                            axiom,
+                            {"x": x, "y": y, "z": z,
+                             "lam": representative(iv.complement(sec))},
+                        )
+        return _holds(axiom)
+
+    return check
+
+
+def _covering_section_axiom(axiom, which, above):
+    """A `_check_` method: `axiom` fails on the first x != y with x weakly
+    above y (below it when not `above`) whose strict section `which` of
+    (x, y, y) misses an interior weight; the witness `lam` is one it misses."""
+    covers = flag_bit(which, COVERS_OPEN_UNIT)
+
+    def check(self):
+        na = self._oracle_or_na(axiom)
+        if na:
+            return na
+        weak = self.weak if above else (lambda a, b: self.weak(b, a))
+        word = self.flag_word
+        for i, x in enumerate(self.points):
+            for j, y in enumerate(self.points):
+                if i != j and weak(x, y) and not word(i, j, j) & covers:
+                    sec = self.section(x, y, y, which)
+                    return _fails(
+                        axiom,
+                        {"x": x, "y": y,
+                         "lam": representative(iv.difference(OPEN_UNIT, sec))},
+                    )
+        return _holds(axiom)
+
+    return check
+
+
 class AxiomEngine:
-    """Caches comparisons, grid mixtures, sections and verdicts for one
-    (relation, universe)."""
+    """Caches comparisons, grid mixtures, section flag words and verdicts
+    for one (relation, universe).
+
+    Points are numbered by their place in `points`; the flag word of a
+    triple is kept under the int (i*n + j)*n + k of its point numbers.
+    """
 
     def __init__(self, rel: RelationModel, universe: Universe):
         self.rel = rel
@@ -164,11 +225,13 @@ class AxiomEngine:
         self.points = augment_points(
             self.space, universe.points, universe.grid, universe.closure_depth
         )
+        self._n = len(self.points)
         self.mix = mixer(self.space)
         self._cmp: dict[tuple[Point, Point], ComparisonOutcome] = {}
+        self._flags: dict[int, int] = {}
         self._verdicts: dict[str, AxiomVerdict] = {}
-        self._strict_pairs: Optional[list[tuple[Point, Point]]] = None
-        self._incomp: Optional[dict[Point, list[Point]]] = None
+        self._strict_pairs: Optional[list[tuple[int, int]]] = None
+        self._incomp: Optional[list[list[int]]] = None
 
     # -- comparison layer ---------------------------------------------------
 
@@ -181,7 +244,7 @@ class AxiomEngine:
         return got
 
     def weak(self, x, y) -> bool:
-        return self.compare(x, y) in WEAK
+        return bool(self.compare(x, y).bit & WEAK)
 
     def strict(self, x, y) -> bool:
         return self.compare(x, y) is ComparisonOutcome.BETTER
@@ -192,33 +255,45 @@ class AxiomEngine:
     def incomparable(self, x, y) -> bool:
         return self.compare(x, y) is ComparisonOutcome.INCOMPARABLE
 
-    def strict_pairs(self) -> list[tuple[Point, Point]]:
+    def strict_pairs(self) -> list[tuple[int, int]]:
+        """Point numbers (i, j) of every strict pair, in scan order."""
         if self._strict_pairs is None:
             self._strict_pairs = [
-                (x, y) for x in self.points for y in self.points if self.strict(x, y)
+                (i, j) for i, x in enumerate(self.points)
+                for j, y in enumerate(self.points) if self.strict(x, y)
             ]
         return self._strict_pairs
 
-    def incomparable_partners(self) -> dict[Point, list[Point]]:
+    def incomparable_partners(self) -> list[list[int]]:
+        """For each point number, those of the points incomparable to it."""
         if self._incomp is None:
-            self._incomp = {
-                x: [y for y in self.points if self.incomparable(x, y)]
+            self._incomp = [
+                [j for j, y in enumerate(self.points) if self.incomparable(x, y)]
                 for x in self.points
-            }
+            ]
         return self._incomp
 
     def section(self, x, y, z, which: str) -> SectionSet:
         return self.rel.segment(x, y, z).section(which)
 
+    def flag_word(self, i: int, j: int, k: int) -> int:
+        """Flag word of the partition for points i, j, k, computed on first
+        use.  Its bits are mirror invariant, so (j, i, k) shares the entry."""
+        n = self._n
+        key = (i * n + j) * n + k if i <= j else (j * n + i) * n + k
+        got = self._flags.get(key)
+        if got is None:
+            p = self.points
+            got = self._flags[key] = self.rel.segment_flags(p[i], p[j], p[k])
+        return got
+
     def first_triple(self, mask: int, expect: int):
-        """First (x, y, z) in scan order whose flag word, masked by `mask`,
-        is not `expect`; None when there is none."""
-        flags = self.rel.section_flags
-        for x in self.points:
-            for y in self.points:
-                for z in self.points:
-                    if flags(x, y, z) & mask != expect:
-                        return x, y, z
+        """Point numbers (i, j, k) of the first triple in scan order whose
+        flag word, masked by `mask`, is not `expect`; None when there is none."""
+        word = self.flag_word
+        for ijk in product(range(self._n), repeat=3):
+            if word(*ijk) & mask != expect:
+                return ijk
         return None
 
     def first_section_failure(self, which_props):
@@ -230,8 +305,9 @@ class AxiomEngine:
         bad = self.first_triple(need, need)
         if bad is None:
             return None
-        word = self.rel.section_flags(*bad)
-        return (*bad, next(which for which, bit in checks if not word & bit))
+        word = self.flag_word(*bad)
+        return (*(self.points[t] for t in bad),
+                next(which for which, bit in checks if not word & bit))
 
     # -- verdict dispatch ---------------------------------------------------
 
@@ -253,10 +329,10 @@ class AxiomEngine:
         there is none.  z is not scanned when the (x, y) premise fails."""
         for x in self.points:
             for y in self.points:
-                if self.compare(x, y) not in first:
+                if not self.compare(x, y).bit & first:
                     continue
                 for z in self.points:
-                    if self.compare(y, z) in second and self.compare(x, z) not in then:
+                    if self.compare(y, z).bit & second and not self.compare(x, z).bit & then:
                         return x, y, z
         return None
 
@@ -265,7 +341,7 @@ class AxiomEngine:
         skipping x == y when `distinct`; None when there is none."""
         for x in self.points:
             for y in self.points:
-                if not (distinct and x == y) and self.compare(x, y) in outcomes:
+                if not (distinct and x == y) and self.compare(x, y).bit & outcomes:
                     return x, y
         return None
 
@@ -276,7 +352,7 @@ class AxiomEngine:
         return _holds(AxiomId.REFLEXIVE)
 
     def _check_complete(self):
-        pair = self.first_pair((ComparisonOutcome.INCOMPARABLE,))
+        pair = self.first_pair(INCOMPARABLE)
         if pair is not None:
             return _fails(AxiomId.COMPLETE, {"x": pair[0], "y": pair[1]})
         return _holds(AxiomId.COMPLETE)
@@ -338,25 +414,28 @@ class AxiomEngine:
         # whenever x has an incomparable partner w.
         incomp = self.incomparable_partners()
         guarded = [
-            (x, y) for x, y in self.strict_pairs() if incomp[x] or incomp[y]
+            (i, j) for i, j in self.strict_pairs() if incomp[i] or incomp[j]
         ]
         if not guarded:
             return _holds(AxiomId.ARCHIMEDEAN, note="vacuous: no qualifying tuple")
         na = self._oracle_or_na(AxiomId.ARCHIMEDEAN)
         if na:
             return na
-        flags = self.rel.section_flags
-        for x, y in guarded:
-            for z in incomp[y]:
-                if not flags(x, z, y) & GT_MEETS:
+        word, p = self.flag_word, self.points
+        for i, j in guarded:
+            x, y = p[i], p[j]
+            for k in incomp[j]:
+                if not word(i, k, j) & GT_MEETS:
+                    z = p[k]
                     return _fails(
                         AxiomId.ARCHIMEDEAN,
                         {"x": x, "y": y, "z": z,
                          "section": self.section(x, z, y, "gt")},
                         note="no interior weight keeps x-side strictly above y",
                     )
-            for w in incomp[x]:
-                if not flags(y, w, x) & LT_MEETS:
+            for k in incomp[i]:
+                if not word(j, k, i) & LT_MEETS:
+                    w = p[k]
                     return _fails(
                         AxiomId.ARCHIMEDEAN,
                         {"x": x, "y": y, "w": w,
@@ -371,16 +450,17 @@ class AxiomEngine:
             return _holds(AxiomId.STRONG_ARCHIMEDEAN, note="vacuous: no strict pair")
         if not self.rel.has_segment_oracle:
             return self._strong_archimedean_pointwise(pairs)
-        flags = self.rel.section_flags
-        for x, y in pairs:
-            for z in self.points:
-                if not flags(x, z, y) & GT_MEETS:
+        word, p = self.flag_word, self.points
+        for i, j in pairs:
+            x, y = p[i], p[j]
+            for k, z in enumerate(p):
+                if not word(i, k, j) & GT_MEETS:
                     return _fails(
                         AxiomId.STRONG_ARCHIMEDEAN,
                         {"x": x, "y": y, "z": z, "section": self.section(x, z, y, "gt")},
                         note="no interior weight keeps x-side strictly above y",
                     )
-                if not flags(y, z, x) & LT_MEETS:
+                if not word(j, k, i) & LT_MEETS:
                     return _fails(
                         AxiomId.STRONG_ARCHIMEDEAN,
                         {"x": x, "y": y, "z": z, "section": self.section(y, z, x, "lt")},
@@ -395,7 +475,8 @@ class AxiomEngine:
                 AxiomId.STRONG_ARCHIMEDEAN,
                 "no segment oracle and no pointwise witness constructor",
             )
-        for x, y in pairs:
+        for i, j in pairs:
+            x, y = self.points[i], self.points[j]
             for z in self.points:
                 got = fn(x, y, z)
                 if got is None:
@@ -420,59 +501,10 @@ class AxiomEngine:
 
     # -- convexity family -------------------------------------------------------
 
-    def _weak_sections_full(self, axiom, which, weak):
-        """x and y both `weak` to z => section `which` of (x, y, z) is [0,1]."""
-        na = self._oracle_or_na(axiom)
-        if na:
-            return na
-        full = flag_bit(which, FULL_SET)
-        flags = self.rel.section_flags
-        for x in self.points:
-            for y in self.points:
-                for z in self.points:
-                    if weak(x, z) and weak(y, z) and not flags(x, y, z) & full:
-                        sec = self.section(x, y, z, which)
-                        return _fails(
-                            axiom,
-                            {"x": x, "y": y, "z": z,
-                             "lam": representative(iv.complement(sec))},
-                        )
-        return _holds(axiom)
-
-    def _check_convex(self):
-        return self._weak_sections_full(AxiomId.CONVEX, "ge", self.weak)
-
-    def _check_concave(self):
-        return self._weak_sections_full(
-            AxiomId.CONCAVE, "le", lambda a, b: self.weak(b, a)
-        )
-
-    def _strict_sections_cover(self, axiom, which, weak):
-        """x != y, x `weak` to y => strict section `which` of (x, y, y)
-        contains every interior weight."""
-        na = self._oracle_or_na(axiom)
-        if na:
-            return na
-        covers = flag_bit(which, COVERS_OPEN_UNIT)
-        flags = self.rel.section_flags
-        for x in self.points:
-            for y in self.points:
-                if x != y and weak(x, y) and not flags(x, y, y) & covers:
-                    sec = self.section(x, y, y, which)
-                    return _fails(
-                        axiom,
-                        {"x": x, "y": y,
-                         "lam": representative(iv.difference(OPEN_UNIT, sec))},
-                    )
-        return _holds(axiom)
-
-    def _check_star_convex(self):
-        return self._strict_sections_cover(AxiomId.STAR_CONVEX, "gt", self.weak)
-
-    def _check_star_concave(self):
-        return self._strict_sections_cover(
-            AxiomId.STAR_CONCAVE, "lt", lambda a, b: self.weak(b, a)
-        )
+    _check_convex = _full_section_axiom(AxiomId.CONVEX, "ge", above=True)
+    _check_concave = _full_section_axiom(AxiomId.CONCAVE, "le", above=False)
+    _check_star_convex = _covering_section_axiom(AxiomId.STAR_CONVEX, "gt", above=True)
+    _check_star_concave = _covering_section_axiom(AxiomId.STAR_CONCAVE, "lt", above=False)
 
     def _check_linear(self):
         na = self._oracle_or_na(AxiomId.LINEAR)
@@ -531,7 +563,7 @@ class AxiomEngine:
             return na
         hit = self.first_triple(FRAGILE_HIT, 0)
         if hit:
-            x, y, z = hit
+            x, y, z = (self.points[t] for t in hit)
             part = self.rel.segment(x, y, z)
             strict = iv.union(part.section("gt"), part.section("lt"))
             target = iv.closure(iv.interior(part.section("incomparable")))
@@ -549,7 +581,7 @@ class AxiomEngine:
             return na
         hit = self.first_triple(FLIMSY_HIT, 0)
         if hit:
-            x, y, z = hit
+            x, y, z = (self.points[t] for t in hit)
             part = self.rel.segment(x, y, z)
             bowtie = part.section("incomparable")
             comparable = iv.union(part.section("ge"), part.section("le"))

@@ -35,7 +35,7 @@ from .relations import (
     affine_le,
     assemble_partition,
 )
-from .representation import calibrate, verify_representation
+from .representation import calibrate, extreme_points, verify_representation
 from .spaces import (
     MixtureSpace,
     Point,
@@ -772,12 +772,7 @@ def _quotient_representation_report(entry: CatalogEntry) -> tuple[dict, list[str
         if not verdict.passed:
             mismatches.append(f"quotient relation fails {axiom}")
 
-    low = high = qengine.points[0]
-    for p in qengine.points[1:]:
-        if qengine.compare(p, low) is WORSE:
-            low = p
-        if qengine.compare(p, high) is BETTER:
-            high = p
+    low, high = extreme_points(qengine)
     rep, trace = calibrate(qrel, quniverse, low, high, engine=qengine)
     outcome = verify_representation(qrel, rep, quniverse, engine=qengine)
     if not outcome.passed:

@@ -81,7 +81,7 @@ def _incomparable_partner(rel: MultiUtility, points: list[Point],
 def _boundary_enrichment(rel: MultiUtility, points: list[Point]) -> list[Point]:
     # the fragile bit: a strict section meets closure(interior(incomparable))
     found = next(((x, y, z) for x in points for y in points for z in points
-                  if rel.section_flags(x, y, z) & FRAGILE_HIT), None)
+                  if rel.segment_flags(x, y, z) & FRAGILE_HIT), None)
     if found is None:
         return []
 

@@ -35,6 +35,12 @@ class ComparisonOutcome(Enum):
         return ComparisonOutcome.INCOMPARABLE
 
 
+# one bit per outcome, so a set of outcomes is a mask and membership is `&`
+for _i, _outcome in enumerate(ComparisonOutcome):
+    _outcome.bit = 1 << _i
+del _i, _outcome
+
+
 class Label(str, Enum):
     STRICT_ABOVE = "strict_above"    # x lam y  >  z
     STRICT_BELOW = "strict_below"    # x lam y  <  z
@@ -271,16 +277,10 @@ class RelationModel:
             self._segment_cache[key] = got
         return got
 
-    def section_flags(self, x: Point, y: Point, z: Point) -> int:
-        """Flag word of the partition for (x, y, z).  Its bits are mirror
-        invariant, so a cached (y, x, z) partition answers without a mirror."""
-        cache = self._segment_cache
-        got = cache.get((x, y, z))
-        if got is None:
-            got = cache.get((y, x, z))
-            if got is None:
-                got = self.segment(x, y, z)
-        return got.flags
+    def segment_flags(self, x: Point, y: Point, z: Point) -> int:
+        """Flag word of the partition for (x, y, z), not cached here; a
+        relation that can decide it without the partition overrides this."""
+        return self.segment(x, y, z).flags
 
     def section(self, x: Point, y: Point, z: Point, which: str) -> SectionSet:
         return self.segment(x, y, z).section(which)
@@ -307,6 +307,9 @@ def _cut_index(cuts: list, num: int, den: int) -> int:
 
 
 _GE_LO, _GE_HI, _LE_LO, _LE_HI = 1, 2, 4, 8
+# flag word by the tags of the cuts, in order: at most 6 cuts, each ge and
+# le end tagging one, so the table stays small
+_SHAPE_FLAGS: dict[tuple[int, ...], int] = {}
 _PAIR_LABEL = {
     (True, True): Label.INDIFFERENT,
     (True, False): Label.STRICT_ABOVE,
@@ -346,8 +349,11 @@ class MultiUtility(RelationModel):
             all(g >= 0 for g in gaps), all(g <= 0 for g in gaps)
         )
 
-    def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
-        (ex, nx), (ey, ny), (ez, nz) = (self._scaled_dots(p) for p in (x, y, z))
+    def _cuts(self, x: Point, y: Point, z: Point) -> list:
+        """The sorted [num, den, tags] cuts of [0,1] for (x, y, z): 0, 1 and
+        the ends of the ge and le sections, each tagged by the ends at it."""
+        scaled = self._scaled_dots
+        (ex, nx), (ey, ny), (ez, nz) = scaled(x), scaled(y), scaled(z)
         # the i-th utility of x`lam`y minus that of z is (a*lam + b) / (ex*ey*ez);
         # ge = {lam : every gap >= 0}, le = {lam : every gap <= 0}, each a
         # closed interval [lo, hi] kept as integer pairs (num, den), den > 0
@@ -379,7 +385,23 @@ class MultiUtility(RelationModel):
             if ok:
                 for (num, den), tag in zip(bounds, tags):
                     cuts[_cut_index(cuts, num, den)][2] |= tag
-        return LabeledPartition(self._runs(cuts))
+        return cuts
+
+    def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
+        return LabeledPartition(self._runs(self._cuts(x, y, z)))
+
+    def segment_flags(self, x: Point, y: Point, z: Point) -> int:
+        # Every flag bit is topological: it depends on the order of the cuts
+        # and their tags, not on where they fall.  So the word is looked up
+        # by the tags alone, and a new shape is classified once, over the
+        # cuts k/m, by the same walk `classify_segment` takes.
+        shape = tuple(tags for _, _, tags in self._cuts(x, y, z))
+        got = _SHAPE_FLAGS.get(shape)
+        if got is None:
+            m = len(shape) - 1
+            canonical = [[k, m, tags] for k, tags in enumerate(shape)]
+            got = _SHAPE_FLAGS[shape] = LabeledPartition(self._runs(canonical)).flags
+        return got
 
     @staticmethod
     def _runs(cuts: list) -> tuple:

@@ -12,9 +12,30 @@ from prefcheck.axioms import (
     Universe,
 )
 from prefcheck.catalog import ENTRY_IDS, load_entry
-from prefcheck.intervals import FULL, OPEN_UNIT, analyze, interval, point, union
-from prefcheck.relations import ComparisonOutcome, MultiUtility, PointwiseOnly
-from prefcheck.spaces import RealInterval, pt
+from prefcheck.intervals import (
+    FULL,
+    OPEN_UNIT,
+    analyze,
+    interval,
+    point,
+    representative,
+    union,
+)
+from prefcheck.relations import (
+    CLOSED,
+    CONVEX,
+    COVERS_OPEN_UNIT,
+    FLIMSY_HIT,
+    FRAGILE_HIT,
+    FULL_SET,
+    MEETS_OPEN_UNIT,
+    OPEN,
+    ComparisonOutcome,
+    MultiUtility,
+    PointwiseOnly,
+    flag_bit,
+)
+from prefcheck.spaces import Point, RealInterval, pt
 from prefcheck.verdicts import Status
 
 F = Fraction
@@ -447,3 +468,150 @@ def test_every_witnessed_verdict_reverifies(entry_engines):
             assert _reverify(engine, name, verdict), (eid, name, verdict)
             checked += 1
     assert checked > 25
+
+
+# ---------------------------------------------------------------------------
+# section axioms against their definitions
+# ---------------------------------------------------------------------------
+
+
+def _section_verdicts_by_definition(rel, pts):
+    """(status, witness) of every section axiom from the first `product`
+    tuple whose partition flags (`rel.segment(...).flags`) break it; for
+    the ge/le section-convexity scans (`lemma1_suite`) the triple alone."""
+    better = ComparisonOutcome.BETTER
+
+    def flags(x, y, z):
+        return rel.segment(x, y, z).flags
+
+    def weak(x, y):
+        return rel.compare(x, y) in (better, ComparisonOutcome.EQUIVALENT)
+
+    def first(tuples, broken):
+        return next((t for t in tuples if broken(*t)), None)
+
+    out = {}
+    for name, props in (
+        ("mixture_continuous", (("ge", CLOSED), ("le", CLOSED))),
+        ("open_strict_sections", (("gt", OPEN), ("lt", OPEN))),
+        ("open_incomparable_sections", (("incomparable", OPEN),)),
+        ("linear", (("eq", CONVEX),)),
+        ("ge", (("ge", CONVEX),)),
+        ("le", (("le", CONVEX),)),
+    ):
+        def lacking(x, y, z, props=props):
+            return next((w for w, p in props if not flags(x, y, z) & flag_bit(w, p)), None)
+
+        t = first(product(pts, repeat=3), lacking)
+        witness = None
+        if t:
+            which = lacking(*t)
+            witness = dict(zip("xyz", t))
+            if len(props) > 1:
+                witness["which"] = which
+            witness["section"] = rel.section(*t, which)
+        out[name] = (Status.FAILS if t else Status.HOLDS, witness)
+
+    for name, which, above in (("convex", "ge", True), ("concave", "le", False)):
+        def broken(x, y, z, which=which, above=above):
+            both = weak(x, z) and weak(y, z) if above else weak(z, x) and weak(z, y)
+            return both and not flags(x, y, z) & flag_bit(which, FULL_SET)
+
+        t = first(product(pts, repeat=3), broken)
+        out[name] = (Status.FAILS, {
+            **dict(zip("xyz", t)),
+            "lam": representative(iv.complement(rel.section(*t, which)))},
+        ) if t else (Status.HOLDS, None)
+
+    for name, which, above in (("star_convex", "gt", True), ("star_concave", "lt", False)):
+        def broken(x, y, which=which, above=above):
+            return (x != y and (weak(x, y) if above else weak(y, x))
+                    and not flags(x, y, y) & flag_bit(which, COVERS_OPEN_UNIT))
+
+        t = first(product(pts, repeat=2), broken)
+        out[name] = (Status.FAILS, {
+            "x": t[0], "y": t[1],
+            "lam": representative(
+                iv.difference(OPEN_UNIT, rel.section(t[0], t[1], t[1], which)))},
+        ) if t else (Status.HOLDS, None)
+
+    gt_meets, lt_meets = flag_bit("gt", MEETS_OPEN_UNIT), flag_bit("lt", MEETS_OPEN_UNIT)
+    pairs = [(x, y) for x, y in product(pts, repeat=2) if rel.compare(x, y) is better]
+    # strong: every z, upper half before lower half
+    t = first(((x, y, z, half) for (x, y), z, half in product(pairs, pts, "gl")),
+              lambda x, y, z, half: not (flags(x, z, y) & gt_meets if half == "g"
+                                         else flags(y, z, x) & lt_meets))
+    out["strong_archimedean"] = (Status.FAILS, {
+        "x": t[0], "y": t[1], "z": t[2],
+        "section": (rel.section(t[0], t[2], t[1], "gt") if t[3] == "g"
+                    else rel.section(t[1], t[2], t[0], "lt"))},
+    ) if t else (Status.HOLDS, None)
+    # plain: z runs over y's incomparable partners, then w over x's
+    partners = {p: [q for q in pts if rel.compare(p, q) is ComparisonOutcome.INCOMPARABLE]
+                for p in pts}
+    t = first(((x, y, half, v) for x, y in pairs
+               for half, v in [*(("g", z) for z in partners[y]),
+                               *(("l", w) for w in partners[x])]),
+              lambda x, y, half, v: not (flags(x, v, y) & gt_meets if half == "g"
+                                         else flags(y, v, x) & lt_meets))
+    if t is None:
+        out["archimedean"] = (Status.HOLDS, None)
+    elif t[2] == "g":
+        out["archimedean"] = (Status.FAILS, {
+            "x": t[0], "y": t[1], "z": t[3], "section": rel.section(t[0], t[3], t[1], "gt")})
+    else:
+        out["archimedean"] = (Status.FAILS, {
+            "x": t[0], "y": t[1], "w": t[3], "section": rel.section(t[1], t[3], t[0], "lt")})
+
+    # existential: the first hit holds, witnessed by its triple
+    for name, bit in (("fragile", FRAGILE_HIT), ("flimsy", FLIMSY_HIT)):
+        t = first(product(pts, repeat=3), lambda x, y, z, bit=bit: flags(x, y, z) & bit)
+        out[name] = (Status.HOLDS, dict(zip("xyz", t))) if t else (Status.FAILS, None)
+    return out
+
+
+def _assert_section_verdicts_match(rel, universe):
+    engine = AxiomEngine(rel, universe)
+    expected = _section_verdicts_by_definition(rel, engine.points)
+    for which in ("ge", "le"):
+        _, witness = expected.pop(which)
+        bad = engine.first_section_failure(((which, CONVEX),))
+        assert bad == (None if witness is None else
+                       (witness["x"], witness["y"], witness["z"], which)), which
+    for name, (status, witness) in expected.items():
+        verdict = engine.verdict(name)
+        assert verdict.status is status, name
+        if witness is None:
+            assert verdict.witness is None, name
+        else:  # its leading keys, in order; `lam` is built from the section
+            got = list(verdict.witness.items())[:len(witness)]
+            assert got == list(witness.items()), name
+
+
+@st.composite
+def multi_utility_universes(draw):
+    """1-3 utility rows on a 2- or 3-simplex, and 2-6 points with small
+    integer weights (so mixed denominators)."""
+    n = draw(st.integers(2, 3))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    points = []
+    for _ in range(draw(st.integers(2, 6))):
+        weights = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        if not any(weights):
+            weights[0] = 1
+        points.append(Point(tuple(F(w, sum(weights)) for w in weights)))
+    return rows, tuple(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_utility_universes())
+def test_multi_utility_section_verdicts_match_their_definitions(case):
+    rows, points = case
+    _assert_section_verdicts_match(MultiUtility(rows), Universe(points, closure_depth=0))
+
+
+@pytest.mark.parametrize("eid", ["star_cvx_not_cvx", "flimsy_0_3"])
+def test_catalog_section_verdicts_match_their_definitions(eid):
+    entry = load_entry(eid)
+    _assert_section_verdicts_match(entry.relation, entry.universe)

@@ -1,0 +1,36 @@
+"""The benchmark's tracer wraps engine methods by name; a traced pass on a
+small `scale` model must still run, so renaming a wrapped method fails here."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _workloads():
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def test_traced_scale_pass_runs(tmp_path):
+    model = tmp_path / "scale.json"
+    model.write_text(json.dumps(_workloads().scale_model(1, 12)))
+    run = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "child.py"), "scale", "pass",
+         str(tmp_path / "out.json"), "hooks", str(tmp_path / "spans.jsonl"),
+         "--", "axioms", str(model), "--json"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["exit"] == 0, result["stderr"]
+    assert isinstance(result["layers"], dict)
+    assert result["layers"]["axioms.verdicts"] == 24
+    assert len(json.loads((tmp_path / "out.json").read_text())["verdicts"]) == 24

@@ -353,6 +353,9 @@ def test_integer_oracle_matches_reference(case):
     want = _reference_partition(rows, x, y, z)
     assert got.pieces == want.pieces
     assert got.flags == want.flags
+    # the flag word read from the cut shape alone, for the triple and its mirror
+    assert rel.segment_flags(x, y, z) == got.flags
+    assert rel.segment_flags(y, x, z) == rel.classify_segment(y, x, z).flags
     dx, dy = ([sum(F(a) * c for a, c in zip(u, p.coords)) for u in rows] for p in (x, y))
     assert rel.compare(x, y) is ComparisonOutcome.from_weak(
         all(a >= b for a, b in zip(dx, dy)), all(b >= a for a, b in zip(dx, dy))

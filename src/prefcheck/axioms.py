@@ -407,6 +407,11 @@ class AxiomEngine:
         AxiomId.OPEN_STRICT_SECTIONS, ("gt", OPEN), ("lt", OPEN))
     _check_open_incomparable_sections = _section_axiom(
         AxiomId.OPEN_INCOMPARABLE_SECTIONS, ("incomparable", OPEN))
+    # Lemma 1's section convexity (not Table axioms)
+    _check_upper_sections_convex = _section_axiom(
+        "upper_sections_convex", ("ge", CONVEX))
+    _check_lower_sections_convex = _section_axiom(
+        "lower_sections_convex", ("le", CONVEX))
 
     def _check_archimedean(self):
         # Each half carries its own incomparability guard: the upper half is

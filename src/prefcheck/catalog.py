@@ -773,8 +773,8 @@ def _quotient_representation_report(entry: CatalogEntry) -> tuple[dict, list[str
             mismatches.append(f"quotient relation fails {axiom}")
 
     low, high = extreme_points(qengine)
-    rep, trace = calibrate(qrel, quniverse, low, high, engine=qengine)
-    outcome = verify_representation(qrel, rep, quniverse, engine=qengine)
+    rep, trace = calibrate(qengine, low, high)
+    outcome = verify_representation(qengine, rep)
     if not outcome.passed:
         mismatches.append("quotient representation failed verification")
     for p, value in rep.values.items():
@@ -833,7 +833,7 @@ def run_entry(entry_id: str) -> EntryReport:
                 f"expected {check.expected}, got {got}"
             )
 
-    theorem_reports = run_all_theorems(entry.relation, entry.universe, engine=engine)
+    theorem_reports = run_all_theorems(engine)
     for report in theorem_reports:
         if report.applicable and not report.consistent:
             mismatches.append(

@@ -82,7 +82,7 @@ def load_model(path: str, grid_override=None, depth_override=None):
     elif kind == "multi_utility":
         try:
             relation = MultiUtility(rel_desc["utilities"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"bad multi_utility descriptor: {exc}")
         space = relation.space
         universe = None
@@ -94,7 +94,7 @@ def load_model(path: str, grid_override=None, depth_override=None):
             raise ModelError("space descriptor must be a JSON object")
         try:
             declared = space_from_json(raw["space"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"bad space descriptor: {exc}")
         if declared.descriptor() != space.descriptor():
             raise ModelError(
@@ -112,7 +112,7 @@ def load_model(path: str, grid_override=None, depth_override=None):
                 depth,
                 _parse_grid(u.get("grid", [str(g) for g in DEFAULT_GRID])),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"bad universe: {exc}")
         if not isinstance(depth, int) or isinstance(depth, bool):
             raise ModelError(f"closure_depth must be an integer, got {depth!r}")
@@ -219,7 +219,7 @@ def cmd_theorem(args) -> int:
     )
     if args.quotient:
         space, relation, universe = _apply_quotient(space, relation, universe)
-    reports = run_harness_all_variants(args.theorem, relation, universe)
+    reports = run_harness_all_variants(args.theorem, AxiomEngine(relation, universe))
     payload = {"model": echo, "reports": [r.to_json() for r in reports]}
     lines = []
     for r in reports:
@@ -244,6 +244,8 @@ def cmd_represent(args) -> int:
     if args.anchors:
         try:
             i, j = (int(part) for part in args.anchors.split(","))
+            if i < 0 or j < 0:
+                raise IndexError("point indices start at 0")
             low, high = engine.points[i], engine.points[j]
         except (ValueError, IndexError) as exc:
             raise ModelError(f"bad --anchors (want two point indices): {exc}")
@@ -251,10 +253,10 @@ def cmd_represent(args) -> int:
         low, high = extreme_points(engine)
 
     try:
-        rep, trace = calibrate(relation, universe, low, high, engine=engine)
+        rep, trace = calibrate(engine, low, high)
     except CalibrationError as exc:
         raise ModelError(str(exc))
-    outcome = verify_representation(relation, rep, universe, engine=engine)
+    outcome = verify_representation(engine, rep)
 
     payload = {
         "model": echo,
@@ -296,7 +298,7 @@ def cmd_fuzz(args) -> int:
     violations = []
     checked = 0
     for name, rel, universe in fuzz_corpus(args.count, rng_seed):
-        bad = soundness_violations(rel, universe)
+        bad = soundness_violations(AxiomEngine(rel, universe))
         checked += 1
         for report in bad:
             violations.append({

@@ -150,11 +150,11 @@ def fuzz_corpus(count: int, seed: Optional[int] = None) -> Iterator[tuple[str, M
         yield f"fuzz-{i:04d}-u{n_utils}x{n_coords}", rel, universe
 
 
-def soundness_violations(rel, universe, engine=None) -> list:
+def soundness_violations(engine: AxiomEngine) -> list:
     from .theorems import run_all_theorems
 
     return [
         report
-        for report in run_all_theorems(rel, universe, engine=engine)
+        for report in run_all_theorems(engine)
         if report.applicable and not report.consistent
     ]

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .axioms import AxiomEngine, AxiomId, Universe
+from .axioms import AxiomEngine, AxiomId
 from .intervals import OPEN_UNIT, analyze, intersect
-from .relations import ComparisonOutcome, RelationModel
+from .relations import ComparisonOutcome
 from .spaces import Point, value_to_json
 
 
@@ -152,14 +152,8 @@ def extreme_points(engine: AxiomEngine) -> tuple[Point, Point]:
 
 
 def calibrate(
-    rel: RelationModel,
-    universe: Universe,
-    anchor_low: Point,
-    anchor_high: Point,
-    engine: Optional[AxiomEngine] = None,
+    engine: AxiomEngine, anchor_low: Point, anchor_high: Point
 ) -> tuple[UtilityRepresentation, CalibrationTrace]:
-    if engine is None:
-        engine = AxiomEngine(rel, universe)
     _require_hypotheses(engine)
     if engine.compare(anchor_low, anchor_high) is not ComparisonOutcome.WORSE:
         raise CalibrationError("anchors must satisfy low < high strictly")
@@ -225,16 +219,9 @@ _ORDER_OF_SIGN = {
 
 
 def verify_representation(
-    rel: RelationModel,
-    rep: UtilityRepresentation,
-    universe: Universe,
-    grid=None,
-    engine: Optional[AxiomEngine] = None,
+    engine: AxiomEngine, rep: UtilityRepresentation
 ) -> VerificationReport:
     """Exact order agreement on all pairs and mixture preservation on the grid."""
-    if engine is None:
-        engine = AxiomEngine(rel, universe)
-    weights = tuple(grid) if grid is not None else engine.grid
     report = VerificationReport()
 
     for x in engine.points:
@@ -254,7 +241,7 @@ def verify_representation(
         vx = representation_value(rep, engine, x)
         for y in engine.points:
             vy = representation_value(rep, engine, y)
-            for g in weights:
+            for g in engine.grid:
                 mixed = engine.mix(x, g, y)
                 vm = representation_value(rep, engine, mixed)
                 report.mixture_checked += 1

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .axioms import AxiomEngine, AxiomId, Universe
-from .relations import CONVEX, RelationModel
+from .axioms import AxiomEngine, AxiomId
 from .verdicts import AxiomVerdict, Status
 
 
@@ -135,9 +134,7 @@ class HarnessReport:
     theorem: str
     variant: Optional[str]
     hypotheses: dict[str, AxiomVerdict]
-    hypothesis_expectations: dict[str, bool]
     conclusions: dict[str, AxiomVerdict]
-    conclusion_expectations: dict[str, bool]
     applicable: bool
     consistent: bool
     intermediates: dict[str, AxiomVerdict] = field(default_factory=dict)
@@ -184,10 +181,10 @@ def _representation_verdict(engine: AxiomEngine) -> AxiomVerdict:
             note="no strictly ordered anchor pair",
         )
     try:
-        rep, trace = calibrate(engine.rel, engine.universe, low, high, engine=engine)
+        rep, _ = calibrate(engine, low, high)
     except CalibrationError as exc:
         return AxiomVerdict("representation", Status.FAILS, note=str(exc))
-    outcome = verify_representation(engine.rel, rep, engine.universe, engine=engine)
+    outcome = verify_representation(engine, rep)
     # injectivity is claimed on the universe; on-demand mixture points added
     # by the verifier may legitimately share values with each other
     values = [rep.values[p] for p in engine.points]
@@ -206,10 +203,8 @@ def _representation_verdict(engine: AxiomEngine) -> AxiomVerdict:
 
 def run_harness(
     theorem: str,
-    rel: RelationModel,
-    universe: Universe,
+    engine: AxiomEngine,
     variant: Optional[str] = None,
-    engine: Optional[AxiomEngine] = None,
 ) -> HarnessReport:
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id: {theorem!r}")
@@ -222,52 +217,36 @@ def run_harness(
         hypotheses = rule.hypotheses + rule.variants[variant]
     else:
         hypotheses = rule.hypotheses
-    if engine is None:
-        engine = AxiomEngine(rel, universe)
 
     hyp_verdicts = {name: engine.verdict(name) for name, _ in hypotheses}
-    hyp_expect = {name: want for name, want in hypotheses}
     applicable = all(_matches(hyp_verdicts[n], want) for n, want in hypotheses)
 
-    notes = (rule.note,) if rule.note else ()
-    intermediates: dict[str, AxiomVerdict] = {}
-
-    if rule.mode == "representation":
-        if applicable:
-            rep_verdict = _representation_verdict(engine)
-        else:
-            rep_verdict = AxiomVerdict(
-                "representation", Status.NOT_APPLICABLE, note="hypotheses not met"
-            )
-        conclusions = {"representation": rep_verdict}
-        concl_expect = {"representation": True}
-        consistent = (not applicable) or rep_verdict.passed
-    elif rule.mode == "coincide":
+    if rule.mode != "representation":
         conclusions = {name: engine.verdict(name) for name, _ in rule.conclusions}
-        concl_expect = {name: want for name, want in rule.conclusions}
-        flags = {v.passed for v in conclusions.values()}
-        consistent = (not applicable) or len(flags) == 1
-    elif rule.mode == "biconditional":
-        conclusions = {name: engine.verdict(name) for name, _ in rule.conclusions}
-        concl_expect = {name: want for name, want in rule.conclusions}
-        if applicable:
-            lin = conclusions["linear"].passed
-            both = conclusions["convex"].passed and conclusions["concave"].passed
-            consistent = lin == both
-        else:
-            consistent = True
+    elif applicable:
+        conclusions = {"representation": _representation_verdict(engine)}
     else:
-        conclusions = {name: engine.verdict(name) for name, _ in rule.conclusions}
-        concl_expect = {name: want for name, want in rule.conclusions}
-        if applicable:
-            consistent = all(
-                conclusions[n].status is Status.NOT_APPLICABLE or
-                _matches(conclusions[n], want)
-                for n, want in rule.conclusions
-            )
-        else:
-            consistent = True
+        conclusions = {"representation": AxiomVerdict(
+            "representation", Status.NOT_APPLICABLE, note="hypotheses not met")}
 
+    if not applicable:
+        consistent = True
+    elif rule.mode == "representation":
+        consistent = conclusions["representation"].passed
+    elif rule.mode == "coincide":
+        consistent = len({v.passed for v in conclusions.values()}) == 1
+    elif rule.mode == "biconditional":
+        consistent = conclusions["linear"].passed == (
+            conclusions["convex"].passed and conclusions["concave"].passed
+        )
+    else:
+        consistent = all(
+            conclusions[n].status is Status.NOT_APPLICABLE or
+            _matches(conclusions[n], want)
+            for n, want in rule.conclusions
+        )
+
+    intermediates: dict[str, AxiomVerdict] = {}
     if theorem == "T1":
         intermediates["negatively_transitive_strict"] = engine.negatively_transitive_strict()
 
@@ -275,62 +254,29 @@ def run_harness(
         theorem=theorem,
         variant=variant,
         hypotheses=hyp_verdicts,
-        hypothesis_expectations=hyp_expect,
         conclusions=conclusions,
-        conclusion_expectations=concl_expect,
         applicable=applicable,
         consistent=consistent,
         intermediates=intermediates,
-        notes=notes,
+        notes=(rule.note,) if rule.note else (),
     )
 
 
-def run_harness_all_variants(
-    theorem: str,
-    rel: RelationModel,
-    universe: Universe,
-    engine: Optional[AxiomEngine] = None,
-) -> list[HarnessReport]:
+def run_harness_all_variants(theorem: str, engine: AxiomEngine) -> list[HarnessReport]:
     rule = THEOREMS[theorem]
     if rule.variants:
-        return [
-            run_harness(theorem, rel, universe, variant=v, engine=engine)
-            for v in sorted(rule.variants)
-        ]
-    return [run_harness(theorem, rel, universe, engine=engine)]
+        return [run_harness(theorem, engine, variant=v) for v in sorted(rule.variants)]
+    return [run_harness(theorem, engine)]
 
 
-def run_all_theorems(
-    rel: RelationModel,
-    universe: Universe,
-    engine: Optional[AxiomEngine] = None,
-) -> list[HarnessReport]:
-    if engine is None:
-        engine = AxiomEngine(rel, universe)
+def run_all_theorems(engine: AxiomEngine) -> list[HarnessReport]:
     reports = []
     for theorem in THEOREM_IDS:
-        reports.extend(run_harness_all_variants(theorem, rel, universe, engine=engine))
+        reports.extend(run_harness_all_variants(theorem, engine))
     return reports
 
 
-def _section_convexity(engine: AxiomEngine, which: str, name: str) -> AxiomVerdict:
-    if not engine.rel.has_segment_oracle:
-        return AxiomVerdict(name, Status.NOT_APPLICABLE, note="no segment oracle")
-    bad = engine.first_section_failure(((which, CONVEX),))
-    if bad:
-        x, y, z, _ = bad
-        return AxiomVerdict(
-            name, Status.FAILS,
-            {"x": x, "y": y, "z": z, "section": engine.section(x, y, z, which)},
-        )
-    return AxiomVerdict(name, Status.HOLDS)
-
-
-def lemma1_suite(
-    rel: RelationModel,
-    universe: Universe,
-    engine: Optional[AxiomEngine] = None,
-) -> HarnessReport:
+def lemma1_suite(engine: AxiomEngine) -> HarnessReport:
     """Convexity of a relation versus convexity of its weight sections.
 
     Checks, as verdict equalities on the universe: direct convexity ==
@@ -338,27 +284,24 @@ def lemma1_suite(
     under closed weak sections plus interior-weight strictness, linearity ==
     (convexity and concavity).
     """
-    if engine is None:
-        engine = AxiomEngine(rel, universe)
     hypotheses = {
         "reflexive": engine.verdict(AxiomId.REFLEXIVE),
         "transitive_sym": engine.verdict(AxiomId.TRANSITIVE_SYM),
     }
-    applicable = all(v.passed for v in hypotheses.values()) and rel.has_segment_oracle
+    applicable = (all(v.passed for v in hypotheses.values())
+                  and engine.rel.has_segment_oracle)
 
-    upper = _section_convexity(engine, "ge", "upper_sections_convex")
-    lower = _section_convexity(engine, "le", "lower_sections_convex")
     conclusions = {
         "convex": engine.verdict(AxiomId.CONVEX),
-        "upper_sections_convex": upper,
+        "upper_sections_convex": engine.verdict("upper_sections_convex"),
         "concave": engine.verdict(AxiomId.CONCAVE),
-        "lower_sections_convex": lower,
+        "lower_sections_convex": engine.verdict("lower_sections_convex"),
         "linear": engine.verdict(AxiomId.LINEAR),
     }
     notes = []
     if applicable:
-        eq_b = conclusions["convex"].passed == upper.passed
-        eq_c = conclusions["concave"].passed == lower.passed
+        eq_b = conclusions["convex"].passed == conclusions["upper_sections_convex"].passed
+        eq_c = conclusions["concave"].passed == conclusions["lower_sections_convex"].passed
         mc = engine.verdict(AxiomId.MIXTURE_CONTINUOUS)
         arch = engine.verdict(AxiomId.ARCHIMEDEAN)
         if mc.passed and arch.passed:
@@ -376,9 +319,7 @@ def lemma1_suite(
         theorem="L1",
         variant=None,
         hypotheses=hypotheses,
-        hypothesis_expectations={k: True for k in hypotheses},
         conclusions=conclusions,
-        conclusion_expectations={},
         applicable=applicable,
         consistent=consistent,
         notes=tuple(notes),

@@ -198,12 +198,12 @@ def test_criterion_4_soundness_sentinel(multi_corpus, pareto_corpus,
 
     violations = []
     for name, rel, universe, engine in corpus:
-        for report in run_all_theorems(rel, universe, engine=engine):
+        for report in run_all_theorems(engine):
             if report.applicable and not report.consistent:
                 violations.append((name, report.theorem, report.variant))
     assert violations == []
     _announce(4, f"no refutation across {len(corpus)} instances x "
-                 f"{len(run_all_theorems(corpus[0][1], corpus[0][2], engine=corpus[0][3]))} harness runs")
+                 f"{len(run_all_theorems(corpus[0][3]))} harness runs")
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +221,8 @@ def test_criterion_5_representation_exactness(single_corpus):
                 low = p
             if engine.compare(p, high) is ComparisonOutcome.BETTER:
                 high = p
-        rep, trace = calibrate(rel, universe, low, high, engine=engine)
-        outcome = verify_representation(rel, rep, universe, engine=engine)
+        rep, trace = calibrate(engine, low, high)
+        outcome = verify_representation(engine, rep)
         assert outcome.passed, (name, outcome.failures[:2])
         u = rel.utilities[0]
 
@@ -253,13 +253,13 @@ def test_criterion_6_quotient_pipeline():
 
     low = next(p for p in engine.points if p.part == "A")
     high = next(p for p in engine.points if p.part == "B" and p.coords[0] == 1)
-    rep, _ = calibrate(qrel, quniverse, low, high, engine=engine)
+    rep, _ = calibrate(engine, low, high)
     for p, value in rep.values.items():
         if p.part == "B":
             assert value == p.coords[0]
         else:
             assert value == 0
-    outcome = verify_representation(qrel, rep, quniverse, engine=engine)
+    outcome = verify_representation(engine, rep)
     assert outcome.passed and not outcome.failures
     _announce(6, "quotient of the split space calibrates to the identity")
 
@@ -299,7 +299,7 @@ def test_criterion_7_oracle_cross_check():
 def test_criterion_8_convexity_characterization(multi_corpus, entry_engines):
     checked = 0
     for eid, engine in entry_engines.items():
-        report = lemma1_suite(engine.rel, engine.universe, engine=engine)
+        report = lemma1_suite(engine)
         assert report.consistent, eid
         if report.applicable:
             assert report.conclusions["convex"].passed == \
@@ -308,7 +308,7 @@ def test_criterion_8_convexity_characterization(multi_corpus, entry_engines):
                 report.conclusions["lower_sections_convex"].passed, eid
             checked += 1
     for name, rel, universe, engine in multi_corpus[:100]:
-        report = lemma1_suite(rel, universe, engine=engine)
+        report = lemma1_suite(engine)
         assert report.applicable and report.consistent, name
         assert report.conclusions["convex"].passed == \
             report.conclusions["upper_sections_convex"].passed, name

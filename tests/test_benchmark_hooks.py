@@ -1,11 +1,14 @@
-"""The benchmark's tracer wraps engine methods by name; a traced pass on a
-small `scale` model must still run, so renaming a wrapped method fails here."""
+"""The benchmark's tracer wraps engine methods and harness functions by
+name; traced passes of a small `scale` model and a short `fuzz` run must
+still run, so renaming a wrapped function fails here."""
 
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -19,18 +22,26 @@ def _workloads():
     return sys.modules[name]
 
 
-def test_traced_scale_pass_runs(tmp_path):
-    model = tmp_path / "scale.json"
-    model.write_text(json.dumps(_workloads().scale_model(1, 12)))
+@pytest.mark.parametrize("workload", ["scale", "fuzz"])
+def test_traced_scale_pass_runs(tmp_path, workload):
+    if workload == "scale":
+        model = tmp_path / "scale.json"
+        model.write_text(json.dumps(_workloads().scale_model(1, 12)))
+        argv = ["axioms", str(model), "--json"]
+    else:
+        argv = ["fuzz", "--count", "5", "--seed", "1", "--json"]
     run = subprocess.run(
-        [sys.executable, "-B", str(PERFBENCH / "child.py"), "scale", "pass",
+        [sys.executable, "-B", str(PERFBENCH / "child.py"), workload, "pass",
          str(tmp_path / "out.json"), "hooks", str(tmp_path / "spans.jsonl"),
-         "--", "axioms", str(model), "--json"],
+         "--", *argv],
         capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["exit"] == 0, result["stderr"]
     assert isinstance(result["layers"], dict)
-    assert result["layers"]["axioms.verdicts"] == 24
-    assert len(json.loads((tmp_path / "out.json").read_text())["verdicts"]) == 24
+    if workload == "scale":
+        assert result["layers"]["axioms.verdicts"] == 24
+        assert len(json.loads((tmp_path / "out.json").read_text())["verdicts"]) == 24
+    else:
+        assert result["layers"]["theorems.harness.calls"] > 0

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from prefcheck.axioms import AxiomEngine
 from prefcheck.cli import main
 
 
@@ -80,6 +81,11 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
         ("null_utilities", {"relation": {"kind": "multi_utility", "utilities": None}}),
         ("null_space", {"relation": relation, "space": None}),
         ("list_catalog_id", {"relation": {"kind": "catalog", "id": [1]}}),
+        # 1e400 is written as Infinity; json reads both as float inf
+        ("overflow_utility", {"relation": {"kind": "multi_utility",
+                                           "utilities": [[1e400, 0, 1]]}}),
+        ("overflow_point", {"relation": relation, "universe": {"points": [[1e400, 0, 0]]}}),
+        ("overflow_dim", {"relation": relation, "space": {"kind": "simplex", "dim": 1e400}}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(raw))
@@ -102,6 +108,21 @@ def test_theorem_subcommand(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "theorem", "T99", appx1)
     assert code == 2
+
+
+def test_theorem_builds_one_engine(tmp_path, capsys, monkeypatch):
+    built = []
+    init = AxiomEngine.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(AxiomEngine, "__init__", counting_init)
+    model = catalog_model(tmp_path, "eu3")
+    code, out, _ = run_cli(capsys, "theorem", "COR3", model, "--json")
+    assert code == 0 and len(json.loads(out)["reports"]) == 2
+    assert len(built) == 1
 
 
 def test_theorem_t4_on_quotient(tmp_path, capsys):
@@ -138,6 +159,12 @@ def test_represent_rejects_equal_anchors(tmp_path, capsys):
     model = catalog_model(tmp_path, "eu3")
     code, _, err = run_cli(capsys, "represent", model, "--anchors", "0,0")
     assert code == 2
+
+
+def test_represent_rejects_negative_anchor(tmp_path, capsys):
+    model = catalog_model(tmp_path, "eu3")
+    code, _, err = run_cli(capsys, "represent", model, "--anchors", "0,-1")
+    assert code == 2 and "error:" in err
 
 
 def test_represent_quotient_split(tmp_path, capsys):

@@ -28,18 +28,17 @@ def test_theorem_table_covers_all_ids():
 
 def test_unknown_theorem_and_missing_variant_raise():
     entry = load_entry("eu3")
+    engine = AxiomEngine(entry.relation, entry.universe)
     with pytest.raises(ValueError):
-        run_harness("T9", entry.relation, entry.universe)
+        run_harness("T9", engine)
     with pytest.raises(ValueError):
-        run_harness("COR1", entry.relation, entry.universe)  # variant needed
+        run_harness("COR1", engine)  # variant needed
     with pytest.raises(ValueError):
-        run_harness("COR1", entry.relation, entry.universe, variant="c")
+        run_harness("COR1", engine, variant="c")
 
 
 def test_t1_on_appx1_inapplicable_but_consistent(entry_engines):
-    entry = load_entry("appx1")
-    report = run_harness("T1", entry.relation, entry.universe,
-                         engine=entry_engines["appx1"])
+    report = run_harness("T1", entry_engines["appx1"])
     assert not report.applicable
     assert report.consistent
     assert report.hypotheses["archimedean"].failed
@@ -47,9 +46,7 @@ def test_t1_on_appx1_inapplicable_but_consistent(entry_engines):
 
 
 def test_t1_on_well_behaved_instance(entry_engines):
-    entry = load_entry("eu3")
-    report = run_harness("T1", entry.relation, entry.universe,
-                         engine=entry_engines["eu3"])
+    report = run_harness("T1", entry_engines["eu3"])
     assert report.applicable and report.consistent
     assert report.conclusions["complete"].passed
     assert report.conclusions["transitive"].passed
@@ -57,18 +54,14 @@ def test_t1_on_well_behaved_instance(entry_engines):
 
 
 def test_p3_on_pareto(entry_engines):
-    entry = load_entry("pareto2")
-    report = run_harness("P3", entry.relation, entry.universe,
-                         engine=entry_engines["pareto2"])
+    report = run_harness("P3", entry_engines["pareto2"])
     assert report.applicable
     assert report.conclusions["fragile"].status is Status.HOLDS
     assert report.consistent
 
 
 def test_p4_on_flimsy(entry_engines):
-    entry = load_entry("flimsy_0_3")
-    report = run_harness("P4", entry.relation, entry.universe,
-                         engine=entry_engines["flimsy_0_3"])
+    report = run_harness("P4", entry_engines["flimsy_0_3"])
     assert report.applicable
     assert report.conclusions["flimsy"].status is Status.HOLDS
     assert report.consistent
@@ -76,22 +69,18 @@ def test_p4_on_flimsy(entry_engines):
 
 def test_p2_inapplicable_where_an_hypothesis_drops(entry_engines):
     # closed incomparability section blocks P2 on the flimsy instance
-    entry = load_entry("flimsy_0_3")
-    report = run_harness("P2", entry.relation, entry.universe,
-                         engine=entry_engines["flimsy_0_3"])
+    report = run_harness("P2", entry_engines["flimsy_0_3"])
     assert not report.applicable
     assert report.hypotheses["open_incomparable_sections"].failed
     # vacuous strictness blocks it on the block-indifference instance
-    entry = load_entry("appx3")
-    report = run_harness("P2", entry.relation, entry.universe,
-                         engine=entry_engines["appx3"])
+    report = run_harness("P2", entry_engines["appx3"])
     assert not report.applicable
     assert report.hypotheses["strong_archimedean"].failed
 
 
 def test_p1_coincidence_verdicts_on_catalog(entry_engines):
     for eid, engine in entry_engines.items():
-        report = run_harness("P1", engine.rel, engine.universe, engine=engine)
+        report = run_harness("P1", engine)
         assert report.consistent, eid
         if report.applicable:
             flags = {v.passed for v in report.conclusions.values()}
@@ -116,7 +105,7 @@ def test_t4_on_quotient_of_split_space():
     entry = load_entry("split_hm")
     qspace, qrel = quotient(entry.space, entry.relation, entry.universe.points)
     quniverse = Universe(qspace.representatives)
-    report = run_harness("T4", qrel, quniverse)
+    report = run_harness("T4", AxiomEngine(qrel, quniverse))
     assert report.applicable and report.consistent
     assert report.conclusions["representation"].status is Status.HOLDS
 
@@ -124,23 +113,19 @@ def test_t4_on_quotient_of_split_space():
 def test_obs1_on_quotient_of_split_space():
     entry = load_entry("split_hm")
     qspace, qrel = quotient(entry.space, entry.relation, entry.universe.points)
-    report = run_harness("OBS1", qrel, Universe(qspace.representatives))
+    report = run_harness("OBS1", AxiomEngine(qrel, Universe(qspace.representatives)))
     assert report.applicable and report.consistent
 
 
 def test_t4_inapplicable_on_thick_relation(entry_engines):
-    entry = load_entry("split_hm")
-    report = run_harness("T4", entry.relation, entry.universe,
-                         engine=entry_engines["split_hm"])
+    report = run_harness("T4", entry_engines["split_hm"])
     assert not report.applicable
     assert report.hypotheses["anti_symmetric"].failed
     assert report.consistent
 
 
 def test_variant_theorems_report_their_variant(entry_engines):
-    entry = load_entry("eu3")
-    reports = run_harness_all_variants("COR3", entry.relation, entry.universe,
-                                       engine=entry_engines["eu3"])
+    reports = run_harness_all_variants("COR3", entry_engines["eu3"])
     assert [r.variant for r in reports] == ["a", "b"]
     for r in reports:
         assert r.applicable and r.consistent
@@ -150,13 +135,13 @@ def test_t2_applicable_on_injective_single_utility():
     rel = MultiUtility(((0, 1, 5),))   # injective on vertices and grid mixtures
     universe = Universe(tuple(rel.space.vertices()))
     engine = AxiomEngine(rel, universe)
-    report = run_harness("T2", rel, universe, variant="a", engine=engine)
+    report = run_harness("T2", engine, variant="a")
     assert report.applicable and report.consistent
 
 
 def test_soundness_sentinel_on_catalog(entry_engines):
     for eid, engine in entry_engines.items():
-        for report in run_all_theorems(engine.rel, engine.universe, engine=engine):
+        for report in run_all_theorems(engine):
             assert not (report.applicable and not report.consistent), (
                 eid, report.theorem, report.variant
             )
@@ -168,35 +153,27 @@ def test_soundness_sentinel_on_catalog(entry_engines):
 
 
 def test_lemma_suite_on_well_behaved_instance(entry_engines):
-    entry = load_entry("eu3")
-    report = lemma1_suite(entry.relation, entry.universe,
-                          engine=entry_engines["eu3"])
+    report = lemma1_suite(entry_engines["eu3"])
     assert report.applicable and report.consistent
     assert report.conclusions["convex"].passed
     assert report.conclusions["upper_sections_convex"].passed
 
 
 def test_lemma_suite_equality_on_star_example(entry_engines):
-    entry = load_entry("star_cvx_not_cvx")
-    report = lemma1_suite(entry.relation, entry.universe,
-                          engine=entry_engines["star_cvx_not_cvx"])
+    report = lemma1_suite(entry_engines["star_cvx_not_cvx"])
     assert report.applicable and report.consistent
     assert report.conclusions["convex"].failed
     assert report.conclusions["upper_sections_convex"].failed
 
 
 def test_lemma_suite_not_applicable_without_oracle(entry_engines):
-    entry = load_entry("appx4_rationals")
-    report = lemma1_suite(entry.relation, entry.universe,
-                          engine=entry_engines["appx4_rationals"])
+    report = lemma1_suite(entry_engines["appx4_rationals"])
     assert not report.applicable
     assert report.consistent
 
 
 def test_report_json_shape(entry_engines):
-    entry = load_entry("eu3")
-    report = run_harness("T1", entry.relation, entry.universe,
-                         engine=entry_engines["eu3"])
+    report = run_harness("T1", entry_engines["eu3"])
     payload = report.to_json()
     assert payload["theorem"] == "T1"
     assert payload["applicable"] is True and payload["consistent"] is True

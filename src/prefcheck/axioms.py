@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
-from typing import Optional
+from typing import Optional, Union
 
 from . import intervals as iv
 from .intervals import OPEN_UNIT, SectionSet, representative
@@ -120,6 +119,28 @@ _ANY = sum(outcome.bit for outcome in ComparisonOutcome)
 NOT_WEAK = _ANY & ~WEAK
 NOT_STRICT = _ANY & ~STRICT
 
+# marks are ASCII digits, so a row of them reversed is the binary numeral of
+# the int whose bit k is mark k
+_MARK, _CLEAR = ord("1"), ord("0")
+
+
+def _bitset(marks: bytes) -> int:
+    """The int whose bit k is set where marks[k] is _MARK."""
+    return int(marks[::-1], 2)
+
+
+def _lowest(bits: int) -> int:
+    """Position of the lowest set bit of `bits` (> 0)."""
+    return (bits & -bits).bit_length() - 1
+
+
+def _members(bits: int):
+    """Positions of the set bits of `bits`, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
 
 def _chain_axiom(axiom, first, second, then):
     """A `_check_` method: `axiom` fails on the first chain x, y, z with
@@ -166,18 +187,22 @@ def _full_section_axiom(axiom, which, above):
         na = self._oracle_or_na(axiom)
         if na:
             return na
-        weak = self.weak if above else (lambda a, b: self.weak(b, a))
-        word = self.flag_word
-        for i, x in enumerate(self.points):
-            for j, y in enumerate(self.points):
-                for k, z in enumerate(self.points):
-                    if weak(x, z) and weak(y, z) and not word(i, j, k) & full:
-                        sec = self.section(x, y, z, which)
-                        return _fails(
-                            axiom,
-                            {"x": x, "y": y, "z": z,
-                             "lam": representative(iv.complement(sec))},
-                        )
+        weak, p = self.outcome_rows(WEAK, transposed=not above), self.points
+        for i in range(self._n):
+            # the test is symmetric in x and y, so the first hit has i <= j
+            for j in range(i, self._n):
+                among = weak[i] & weak[j]
+                if not among:
+                    continue
+                bad = among & _bitset(self._marks(i, j, full, full))
+                if bad:
+                    x, y, z = p[i], p[j], p[_lowest(bad)]
+                    sec = self.section(x, y, z, which)
+                    return _fails(
+                        axiom,
+                        {"x": x, "y": y, "z": z,
+                         "lam": representative(iv.complement(sec))},
+                    )
         return _holds(axiom)
 
     return check
@@ -193,11 +218,11 @@ def _covering_section_axiom(axiom, which, above):
         na = self._oracle_or_na(axiom)
         if na:
             return na
-        weak = self.weak if above else (lambda a, b: self.weak(b, a))
-        word = self.flag_word
-        for i, x in enumerate(self.points):
-            for j, y in enumerate(self.points):
-                if i != j and weak(x, y) and not word(i, j, j) & covers:
+        weak, p = self.outcome_rows(WEAK, transposed=not above), self.points
+        for i, row in enumerate(weak):
+            for j in _members(row & ~(1 << i)):
+                if not self.flag_word(i, j, j) & covers:
+                    x, y = p[i], p[j]
                     sec = self.section(x, y, y, which)
                     return _fails(
                         axiom,
@@ -213,8 +238,17 @@ class AxiomEngine:
     """Caches comparisons, grid mixtures, section flag words and verdicts
     for one (relation, universe).
 
-    Points are numbered by their place in `points`; the flag word of a
-    triple is kept under the int (i*n + j)*n + k of its point numbers.
+    Points are numbered by their place in `points`.  The scans read two
+    tables indexed by point number, each filled at the first scan that
+    reads it:
+
+    - outcome rows: per set of comparison outcomes, one n-bit int per
+      point i whose bit k says the outcome of (i, k) is in the set, and
+      the transposed rows, whose bit k says that of (k, i) is;
+    - flag rows: per unordered pair {i, j}, the ids of the flag words of
+      (i, j, k) for every k, from the relation's row kernel.  An id
+      indexes `_words`, the distinct words met so far.  A row is `bytes`
+      while at most 256 words are known, and a list after that.
     """
 
     def __init__(self, rel: RelationModel, universe: Universe):
@@ -228,7 +262,13 @@ class AxiomEngine:
         self._n = len(self.points)
         self.mix = mixer(self.space)
         self._cmp: dict[tuple[Point, Point], ComparisonOutcome] = {}
-        self._flags: dict[int, int] = {}
+        self._outcomes: Optional[tuple[list[bytes], list[bytes]]] = None
+        self._outcome_rows: dict[tuple[int, bool], list[int]] = {}
+        self._row_kernel = None
+        self._flag_rows: dict[int, Union[bytes, list[int]]] = {}
+        self._words: list[int] = []
+        self._word_ids: dict[int, int] = {}
+        self._mark_tables: dict[tuple[int, int], bytes] = {}
         self._verdicts: dict[str, AxiomVerdict] = {}
         self._strict_pairs: Optional[list[tuple[int, int]]] = None
         self._incomp: Optional[list[list[int]]] = None
@@ -255,45 +295,92 @@ class AxiomEngine:
     def incomparable(self, x, y) -> bool:
         return self.compare(x, y) is ComparisonOutcome.INCOMPARABLE
 
+    def outcome_rows(self, outcomes: int, transposed: bool = False) -> list[int]:
+        """Per point number i, the int whose bit k is set when the outcome
+        of (points[i], points[k]) -- of (points[k], points[i]) when
+        `transposed` -- is in the mask `outcomes`."""
+        key = (outcomes, transposed)
+        got = self._outcome_rows.get(key)
+        if got is None:
+            if self._outcomes is None:
+                rows = [bytes(self.compare(x, y).bit for y in self.points)
+                        for x in self.points]
+                self._outcomes = rows, [bytes(col) for col in zip(*rows)]
+            marks = bytes(_MARK if bit & outcomes else _CLEAR for bit in range(256))
+            got = self._outcome_rows[key] = [
+                _bitset(row.translate(marks)) for row in self._outcomes[transposed]
+            ]
+        return got
+
     def strict_pairs(self) -> list[tuple[int, int]]:
         """Point numbers (i, j) of every strict pair, in scan order."""
         if self._strict_pairs is None:
             self._strict_pairs = [
-                (i, j) for i, x in enumerate(self.points)
-                for j, y in enumerate(self.points) if self.strict(x, y)
+                (i, j) for i, row in enumerate(self.outcome_rows(STRICT))
+                for j in _members(row)
             ]
         return self._strict_pairs
 
     def incomparable_partners(self) -> list[list[int]]:
         """For each point number, those of the points incomparable to it."""
         if self._incomp is None:
-            self._incomp = [
-                [j for j, y in enumerate(self.points) if self.incomparable(x, y)]
-                for x in self.points
-            ]
+            self._incomp = [list(_members(row))
+                            for row in self.outcome_rows(INCOMPARABLE)]
         return self._incomp
 
     def section(self, x, y, z, which: str) -> SectionSet:
         return self.rel.segment(x, y, z).section(which)
 
-    def flag_word(self, i: int, j: int, k: int) -> int:
-        """Flag word of the partition for points i, j, k, computed on first
-        use.  Its bits are mirror invariant, so (j, i, k) shares the entry."""
-        n = self._n
-        key = (i * n + j) * n + k if i <= j else (j * n + i) * n + k
-        got = self._flags.get(key)
+    def flag_row(self, i: int, j: int) -> Union[bytes, list[int]]:
+        """Ids of the flag words of points (i, j, k) for every k, computed
+        on first use.  Flag words are mirror invariant, so (j, i) shares it."""
+        if j < i:
+            i, j = j, i
+        key = i * self._n + j
+        got = self._flag_rows.get(key)
         if got is None:
-            p = self.points
-            got = self._flags[key] = self.rel.segment_flags(p[i], p[j], p[k])
+            if self._row_kernel is None:
+                self._row_kernel = self.rel.segment_flag_rows(self.points)
+            words, ids = self._row_kernel(i, j), self._word_ids
+            new = set(words).difference(ids)
+            if new:
+                for word in sorted(new):
+                    ids[word] = len(self._words)
+                    self._words.append(word)
+                self._mark_tables.clear()
+            got = list(map(ids.__getitem__, words))
+            if len(self._words) <= 256:
+                got = bytes(got)
+            self._flag_rows[key] = got
         return got
+
+    def flag_word(self, i: int, j: int, k: int) -> int:
+        """Flag word of the partition for points i, j, k."""
+        return self._words[self.flag_row(i, j)[k]]
+
+    def _marks(self, i: int, j: int, mask: int, expect: int) -> bytes:
+        """_MARK at each k whose flag word for points (i, j, k), masked by
+        `mask`, is not `expect`, and _CLEAR elsewhere."""
+        row = self.flag_row(i, j)
+        if type(row) is not bytes:
+            words = self._words
+            return bytes(_MARK if words[w] & mask != expect else _CLEAR for w in row)
+        table = self._mark_tables.get((mask, expect))
+        if table is None:
+            table = self._mark_tables[mask, expect] = bytes(
+                _MARK if word & mask != expect else _CLEAR for word in self._words[:256]
+            ).ljust(256, b"0")
+        return row.translate(table)
 
     def first_triple(self, mask: int, expect: int):
         """Point numbers (i, j, k) of the first triple in scan order whose
         flag word, masked by `mask`, is not `expect`; None when there is none."""
-        word = self.flag_word
-        for ijk in product(range(self._n), repeat=3):
-            if word(*ijk) & mask != expect:
-                return ijk
+        for i in range(self._n):
+            # row (j, i) is row (i, j), met first, so the first hit has i <= j
+            for j in range(i, self._n):
+                k = self._marks(i, j, mask, expect).find(_MARK)
+                if k >= 0:
+                    return i, j, k
         return None
 
     def first_section_failure(self, which_props):
@@ -326,29 +413,31 @@ class AxiomEngine:
     def first_broken_chain(self, first, second, then):
         """First (x, y, z) in scan order with compare(x, y) in `first` and
         compare(y, z) in `second` but compare(x, z) not in `then`; None when
-        there is none.  z is not scanned when the (x, y) premise fails."""
-        for x in self.points:
-            for y in self.points:
-                if not self.compare(x, y).bit & first:
-                    continue
-                for z in self.points:
-                    if self.compare(y, z).bit & second and not self.compare(x, z).bit & then:
-                        return x, y, z
+        there is none."""
+        firsts, seconds, thens = (self.outcome_rows(m) for m in (first, second, then))
+        p = self.points
+        for i, row in enumerate(firsts):
+            for j in _members(row):
+                bad = seconds[j] & ~thens[i]
+                if bad:
+                    return p[i], p[j], p[_lowest(bad)]
         return None
 
     def first_pair(self, outcomes, distinct=False):
         """First (x, y) in scan order with compare(x, y) in `outcomes`,
         skipping x == y when `distinct`; None when there is none."""
-        for x in self.points:
-            for y in self.points:
-                if not (distinct and x == y) and self.compare(x, y).bit & outcomes:
-                    return x, y
+        p = self.points
+        for i, row in enumerate(self.outcome_rows(outcomes)):
+            if distinct:
+                row &= ~(1 << i)
+            if row:
+                return p[i], p[_lowest(row)]
         return None
 
     def _check_reflexive(self):
-        for x in self.points:
-            if not self.equiv(x, x):
-                return _fails(AxiomId.REFLEXIVE, {"x": x})
+        for i, row in enumerate(self.outcome_rows(EQUIV)):
+            if not row >> i & 1:
+                return _fails(AxiomId.REFLEXIVE, {"x": self.points[i]})
         return _holds(AxiomId.REFLEXIVE)
 
     def _check_complete(self):

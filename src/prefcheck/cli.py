@@ -129,6 +129,8 @@ def load_model(path: str, grid_override=None, depth_override=None):
         universe = Universe(universe.points, depth_override, universe.grid)
     if universe.closure_depth < 0:
         raise ModelError(f"closure_depth must be non-negative, got {universe.closure_depth}")
+    if not universe.points:
+        raise ModelError("universe has no points")
 
     for p in universe.points:
         if not space.contains(p):

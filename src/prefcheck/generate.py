@@ -78,14 +78,23 @@ def _incomparable_partner(rel: MultiUtility, points: list[Point],
     return None
 
 
+def _first_fragile_triple(rel: MultiUtility, points: list[Point]):
+    """Point numbers (i, j, k) of the first triple in scan order whose
+    partition has the fragile bit (a strict section meets the closure of
+    the interior of incomparability); None when there is none."""
+    flag_row = rel.segment_flag_rows(points)
+    n = len(points)
+    # rows (i, j) and (j, i) are equal, so the first hit has i <= j
+    return next(((i, j, k) for i in range(n) for j in range(i, n)
+                 for k, word in enumerate(flag_row(i, j)) if word & FRAGILE_HIT), None)
+
+
 def _boundary_enrichment(rel: MultiUtility, points: list[Point]) -> list[Point]:
-    # the fragile bit: a strict section meets closure(interior(incomparable))
-    found = next(((x, y, z) for x in points for y in points for z in points
-                  if rel.segment_flags(x, y, z) & FRAGILE_HIT), None)
+    found = _first_fragile_triple(rel, points)
     if found is None:
         return []
 
-    x, y, z = found
+    x, y, z = (points[t] for t in found)
     part = rel.segment(x, y, z)
     bowtie_core = iv.closure(iv.interior(part.section("incomparable")))
     hit = next(meet for meet in (iv.intersect(part.section(which), bowtie_core)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import sub
 from typing import Callable, Optional, Sequence
 
 from . import intervals as iv
@@ -282,6 +283,18 @@ class RelationModel:
         relation that can decide it without the partition overrides this."""
         return self.segment(x, y, z).flags
 
+    def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
+        """A function of point numbers (i, j) giving the flag words of
+        (points[i], points[j], z) for every z in `points`, in order; a
+        relation that can share work across a row overrides this."""
+        flags = self.segment_flags
+
+        def row(i: int, j: int) -> list:
+            x, y = points[i], points[j]
+            return [flags(x, y, z) for z in points]
+
+        return row
+
     def section(self, x: Point, y: Point, z: Point, which: str) -> SectionSet:
         return self.segment(x, y, z).section(which)
 
@@ -295,21 +308,68 @@ def _over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
     return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
-def _cut_index(cuts: list, num: int, den: int) -> int:
-    """Index of the weight num/den (den > 0, at most 1) in the sorted list of
-    [num, den, tags] cuts that ends at 1, inserting it if new."""
-    i = 0
-    while num * cuts[i][1] > cuts[i][0] * den:
-        i += 1
-    if num * cuts[i][1] != cuts[i][0] * den:
-        cuts.insert(i, [num, den, 0])
-    return i
-
-
 _GE_LO, _GE_HI, _LE_LO, _LE_HI = 1, 2, 4, 8
 # flag word by the tags of the cuts, in order: at most 6 cuts, each ge and
 # le end tagging one, so the table stays small
 _SHAPE_FLAGS: dict[tuple[int, ...], int] = {}
+
+
+def _integer_cuts(gaps) -> list:
+    """The sorted [num, den, tags] cuts of [0,1] where, for integer pairs
+    (a, b), one per utility, the gaps a*lam + b change sign: 0, 1 and the
+    ends of the ge and le sections, each tagged by the ends at it."""
+    # ge = {lam : every gap >= 0} = [gl/gld, gh/ghd] and le = {lam : every
+    # gap <= 0} = [ll/lld, lh/lhd], closed, with integer ends over d > 0
+    gl, gld, gh, ghd, ll, lld, lh, lhd = 0, 1, 1, 1, 0, 1, 1, 1
+    ge_ok = le_ok = True
+    for a, b in gaps:
+        if a > 0:  # the gap crosses zero upward at -b/a
+            if -b * gld > gl * a:
+                gl, gld = -b, a
+            if -b * lhd < lh * a:
+                lh, lhd = -b, a
+        elif a < 0:  # downward at b/(-a)
+            if b * ghd < gh * -a:
+                gh, ghd = b, -a
+            if b * lld > ll * -a:
+                ll, lld = b, -a
+        elif b < 0:
+            ge_ok = False
+        elif b > 0:
+            le_ok = False
+    ends = []
+    if ge_ok and gl * ghd <= gh * gld:
+        ends += ((gl, gld, _GE_LO), (gh, ghd, _GE_HI))
+    if le_ok and ll * lhd <= lh * lld:
+        ends += ((ll, lld, _LE_LO), (lh, lhd, _LE_HI))
+    cuts = [[0, 1, 0], [1, 1, 0]]
+    for num, den, tag in ends:
+        # the first cut at or above num/den, which is at most 1
+        i = 0
+        while num * cuts[i][1] > cuts[i][0] * den:
+            i += 1
+        if num * cuts[i][1] == cuts[i][0] * den:
+            cuts[i][2] |= tag
+        else:
+            cuts.insert(i, [num, den, tag])
+    return cuts
+
+
+def _shape_flags(shape: tuple[int, ...]) -> int:
+    """Flag word of the partition whose cuts carry the tags `shape`, in order.
+
+    Every flag bit is topological: it depends on the order of the cuts and
+    their tags, not on where they fall.  So a new shape is classified once,
+    over the cuts k/m, by the same walk `classify_segment` takes.
+    """
+    got = _SHAPE_FLAGS.get(shape)
+    if got is None:
+        m = len(shape) - 1
+        canonical = [[k, m, tags] for k, tags in enumerate(shape)]
+        got = _SHAPE_FLAGS[shape] = LabeledPartition(MultiUtility._runs(canonical)).flags
+    return got
+
+
 _PAIR_LABEL = {
     (True, True): Label.INDIFFERENT,
     (True, False): Label.STRICT_ABOVE,
@@ -325,8 +385,8 @@ class MultiUtility(RelationModel):
 
     def __init__(self, utilities: Sequence[Sequence], space: Optional[MixtureSpace] = None):
         utils = tuple(tuple(Fraction(v) for v in u) for u in utilities)
-        if not utils or len({len(u) for u in utils}) != 1:
-            raise ValueError("need one or more utility vectors of equal length")
+        if not utils or len({len(u) for u in utils}) != 1 or not utils[0]:
+            raise ValueError("need one or more utility vectors of equal, nonzero length")
         super().__init__(space or Simplex(len(utils[0])))
         self.utilities = utils
         # each row times its positive common denominator: same comparisons
@@ -350,58 +410,41 @@ class MultiUtility(RelationModel):
         )
 
     def _cuts(self, x: Point, y: Point, z: Point) -> list:
-        """The sorted [num, den, tags] cuts of [0,1] for (x, y, z): 0, 1 and
-        the ends of the ge and le sections, each tagged by the ends at it."""
+        """The sorted cuts of `_integer_cuts` for (x, y, z)."""
         scaled = self._scaled_dots
         (ex, nx), (ey, ny), (ez, nz) = scaled(x), scaled(y), scaled(z)
-        # the i-th utility of x`lam`y minus that of z is (a*lam + b) / (ex*ey*ez);
-        # ge = {lam : every gap >= 0}, le = {lam : every gap <= 0}, each a
-        # closed interval [lo, hi] kept as integer pairs (num, den), den > 0
-        ge_lo, ge_hi, le_lo, le_hi = (0, 1), (1, 1), (0, 1), (1, 1)
-        ge_ok = le_ok = True
-        for vx, vy, vz in zip(nx, ny, nz):
-            a = (vx * ey - vy * ex) * ez
-            b = (vy * ez - vz * ey) * ex
-            if a > 0:  # the gap crosses zero upward at -b/a
-                if -b * ge_lo[1] > ge_lo[0] * a:
-                    ge_lo = (-b, a)
-                if -b * le_hi[1] < le_hi[0] * a:
-                    le_hi = (-b, a)
-            elif a < 0:  # downward at b/(-a)
-                if b * ge_hi[1] < ge_hi[0] * -a:
-                    ge_hi = (b, -a)
-                if b * le_lo[1] > le_lo[0] * -a:
-                    le_lo = (b, -a)
-            elif b < 0:
-                ge_ok = False
-            elif b > 0:
-                le_ok = False
-        ge_ok = ge_ok and ge_lo[0] * ge_hi[1] <= ge_hi[0] * ge_lo[1]
-        le_ok = le_ok and le_lo[0] * le_hi[1] <= le_hi[0] * le_lo[1]
-
-        cuts = [[0, 1, 0], [1, 1, 0]]
-        for ok, bounds, tags in ((ge_ok, (ge_lo, ge_hi), (_GE_LO, _GE_HI)),
-                                 (le_ok, (le_lo, le_hi), (_LE_LO, _LE_HI))):
-            if ok:
-                for (num, den), tag in zip(bounds, tags):
-                    cuts[_cut_index(cuts, num, den)][2] |= tag
-        return cuts
+        # the i-th utility of x`lam`y minus that of z is (a*lam + b) / (ex*ey*ez)
+        return _integer_cuts([((vx * ey - vy * ex) * ez, (vy * ez - vz * ey) * ex)
+                              for vx, vy, vz in zip(nx, ny, nz)])
 
     def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
         return LabeledPartition(self._runs(self._cuts(x, y, z)))
 
     def segment_flags(self, x: Point, y: Point, z: Point) -> int:
-        # Every flag bit is topological: it depends on the order of the cuts
-        # and their tags, not on where they fall.  So the word is looked up
-        # by the tags alone, and a new shape is classified once, over the
-        # cuts k/m, by the same walk `classify_segment` takes.
-        shape = tuple(tags for _, _, tags in self._cuts(x, y, z))
-        got = _SHAPE_FLAGS.get(shape)
-        if got is None:
-            m = len(shape) - 1
-            canonical = [[k, m, tags] for k, tags in enumerate(shape)]
-            got = _SHAPE_FLAGS[shape] = LabeledPartition(self._runs(canonical)).flags
-        return got
+        return _shape_flags(tuple(tags for _, _, tags in self._cuts(x, y, z)))
+
+    def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
+        # Every point's utilities over one common denominator d: the i-th
+        # utility of x`lam`y minus that of z is then (a*lam + b) / d with
+        # a = D[x] - D[y] and b = D[y] - D[z], the same cuts as `_cuts`.
+        den = lcm(*(c.denominator for p in points for c in p.coords))
+        dots = [
+            tuple(sum(u * c.numerator * (den // c.denominator)
+                      for u, c in zip(row, p.coords)) for row in self._rows)
+            for p in points
+        ]
+
+        def row(i: int, j: int) -> list:
+            di, dj = dots[i], dots[j]
+            a = [vi - vj for vi, vj in zip(di, dj)]
+            out = []
+            for dk in dots:
+                shape = tuple([cut[2] for cut in _integer_cuts(zip(a, map(sub, dj, dk)))])
+                got = _SHAPE_FLAGS.get(shape)
+                out.append(_shape_flags(shape) if got is None else got)
+            return out
+
+        return row
 
     @staticmethod
     def _runs(cuts: list) -> tuple:

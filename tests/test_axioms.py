@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,7 @@ from prefcheck.catalog import ENTRY_IDS, load_entry
 from prefcheck.intervals import (
     FULL,
     OPEN_UNIT,
+    Interval,
     analyze,
     interval,
     point,
@@ -31,8 +33,11 @@ from prefcheck.relations import (
     MEETS_OPEN_UNIT,
     OPEN,
     ComparisonOutcome,
+    Label,
     MultiUtility,
     PointwiseOnly,
+    RelationModel,
+    assemble_partition,
     flag_bit,
 )
 from prefcheck.spaces import Point, RealInterval, pt
@@ -83,23 +88,19 @@ def outcome_tables(draw):
     return points, {(x, y): draw(outcomes) for x in points for y in points}
 
 
-@settings(max_examples=300, deadline=None)
-@given(outcome_tables())
-def test_order_verdicts_match_their_definitions(case):
-    """Every order axiom's status and witness equal the first tuple, in
-    scan order, that breaks the axiom's defining formula."""
-    points, table = case
-    rel = PointwiseOnly("table", RealInterval(F(0), F(4)), lambda x, y: table[x, y])
-    engine = AxiomEngine(rel, Universe(tuple(points), closure_depth=0))
-
+def _order_verdicts_by_definition(compare, points):
+    """(status, witness) of every order axiom, and of the strict part's
+    negative transitivity, from the first `product` tuple, in scan order,
+    that breaks its defining formula; nontrivial is existential and holds
+    on the first strict pair."""
     def weak(x, y):
-        return table[x, y] in (ComparisonOutcome.BETTER, ComparisonOutcome.EQUIVALENT)
+        return compare(x, y) in (ComparisonOutcome.BETTER, ComparisonOutcome.EQUIVALENT)
 
     def strict(x, y):
-        return table[x, y] is ComparisonOutcome.BETTER
+        return compare(x, y) is ComparisonOutcome.BETTER
 
     def equiv(x, y):
-        return table[x, y] is ComparisonOutcome.EQUIVALENT
+        return compare(x, y) is ComparisonOutcome.EQUIVALENT
 
     def first(arity, broken):
         for t in product(points, repeat=arity):
@@ -109,7 +110,7 @@ def test_order_verdicts_match_their_definitions(case):
 
     fails_on = {
         "reflexive": first(1, lambda x: not equiv(x, x)),
-        "complete": first(2, lambda x, y: table[x, y] is ComparisonOutcome.INCOMPARABLE),
+        "complete": first(2, lambda x, y: compare(x, y) is ComparisonOutcome.INCOMPARABLE),
         "anti_symmetric": first(2, lambda x, y: x != y and equiv(x, y)),
         "transitive": first(
             3, lambda x, y, z: weak(x, y) and weak(y, z) and not weak(x, z)),
@@ -128,16 +129,32 @@ def test_order_verdicts_match_their_definitions(case):
     }
     fails_on["semi_transitive"] = (fails_on["semi_transitive_down"]
                                    or fails_on["semi_transitive_up"])
-    for name, witness in fails_on.items():
-        verdict = (engine.negatively_transitive_strict()
-                   if name == "negatively_transitive_strict" else engine.verdict(name))
-        assert verdict.status is (Status.FAILS if witness else Status.HOLDS), name
-        assert verdict.witness == witness, name
-    # nontrivial is existential: it holds, witnessed by the first strict pair
+    out = {name: (Status.FAILS if witness else Status.HOLDS, witness)
+           for name, witness in fails_on.items()}
     strict_pair = first(2, strict)
-    nontrivial = engine.verdict(AxiomId.NONTRIVIAL)
-    assert nontrivial.status is (Status.HOLDS if strict_pair else Status.FAILS)
-    assert nontrivial.witness == strict_pair
+    out["nontrivial"] = (Status.HOLDS if strict_pair else Status.FAILS, strict_pair)
+    return out
+
+
+def _verdict(engine, name):
+    if name == "negatively_transitive_strict":
+        return engine.negatively_transitive_strict()
+    return engine.verdict(name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(outcome_tables())
+def test_order_verdicts_match_their_definitions(case):
+    """Every order axiom's status and witness equal the first tuple, in
+    scan order, that breaks the axiom's defining formula."""
+    points, table = case
+    rel = PointwiseOnly("table", RealInterval(F(0), F(4)), lambda x, y: table[x, y])
+    engine = AxiomEngine(rel, Universe(tuple(points), closure_depth=0))
+    expected = _order_verdicts_by_definition(lambda x, y: table[x, y], points)
+    for name, (status, witness) in expected.items():
+        verdict = _verdict(engine, name)
+        assert verdict.status is status, name
+        assert verdict.witness == witness, name
 
 
 def test_semi_transitive_is_conjunction_of_halves(entry_engines):
@@ -570,22 +587,31 @@ def _section_verdicts_by_definition(rel, pts):
     return out
 
 
-def _assert_section_verdicts_match(rel, universe):
+def _assert_verdicts_match(rel, universe):
+    """The engine's order and section verdicts, read from its outcome and
+    flag-row tables, equal those of the brute-force scans over `rel.compare`
+    and `rel.segment(...).flags`, first witness included."""
     engine = AxiomEngine(rel, universe)
-    expected = _section_verdicts_by_definition(rel, engine.points)
-    for which in ("ge", "le"):
-        _, witness = expected.pop(which)
-        bad = engine.first_section_failure(((which, CONVEX),))
-        assert bad == (None if witness is None else
-                       (witness["x"], witness["y"], witness["z"], which)), which
+    expected = _order_verdicts_by_definition(rel.compare, engine.points)
+    order = set(expected)
+    if rel.has_segment_oracle:
+        expected.update(_section_verdicts_by_definition(rel, engine.points))
+        if not (expected["reflexive"][0] is expected["transitive_sym"][0] is Status.HOLDS):
+            expected["linear"] = (Status.NOT_APPLICABLE, None)
+        for which in ("ge", "le"):
+            _, witness = expected.pop(which)
+            bad = engine.first_section_failure(((which, CONVEX),))
+            assert bad == (None if witness is None else
+                           (witness["x"], witness["y"], witness["z"], which)), which
     for name, (status, witness) in expected.items():
-        verdict = engine.verdict(name)
+        verdict = _verdict(engine, name)
         assert verdict.status is status, name
-        if witness is None:
-            assert verdict.witness is None, name
+        if witness is None or name in order:
+            assert verdict.witness == witness, name
         else:  # its leading keys, in order; `lam` is built from the section
             got = list(verdict.witness.items())[:len(witness)]
             assert got == list(witness.items()), name
+    return engine
 
 
 @st.composite
@@ -608,10 +634,65 @@ def multi_utility_universes(draw):
 @given(multi_utility_universes())
 def test_multi_utility_section_verdicts_match_their_definitions(case):
     rows, points = case
-    _assert_section_verdicts_match(MultiUtility(rows), Universe(points, closure_depth=0))
+    _assert_verdicts_match(MultiUtility(rows), Universe(points, closure_depth=0))
 
 
-@pytest.mark.parametrize("eid", ["star_cvx_not_cvx", "flimsy_0_3"])
+@pytest.mark.parametrize("eid", ENTRY_IDS)
 def test_catalog_section_verdicts_match_their_definitions(eid):
     entry = load_entry(eid)
-    _assert_section_verdicts_match(entry.relation, entry.universe)
+    _assert_verdicts_match(entry.relation, entry.universe)
+
+
+class _ManyWords(RelationModel):
+    """Points 0..n-1 of [0, n] with a seeded, not necessarily antisymmetric,
+    outcome table.  The partitions of (i, j, k) and (j, i, k), mirrors of
+    each other, are handed out in scan order from two-cut partitions with
+    distinct flag words and no fragile weight, except the last triple's,
+    which has one."""
+
+    kind = "many_words"
+
+    def __init__(self, n, seed=0):
+        super().__init__(RealInterval(F(0), F(n)))
+        self.points = tuple(pt(i) for i in range(n))
+        rng = random.Random(seed)
+        self._table = {(x, y): ComparisonOutcome.EQUIVALENT if x == y
+                       else rng.choice(list(ComparisonOutcome))
+                       for x in self.points for y in self.points}
+        cuts = (F(0), F(1, 3), F(2, 3), F(1))
+        pieces = [piece for lo, hi in zip(cuts, cuts[1:])
+                  for piece in (Interval(lo, lo), Interval(lo, hi, False, False))]
+        pieces.append(Interval(F(1), F(1)))
+        pool, words = [], set()
+        for labels in product(Label, repeat=len(pieces)):
+            part = assemble_partition({
+                label: iv.normalize([p for p, lab in zip(pieces, labels) if lab is label])
+                for label in Label})
+            if not part.flags & FRAGILE_HIT and part.flags not in words:
+                words.add(part.flags)
+                pool.append(part)
+        fragile = assemble_partition({
+            Label.STRICT_ABOVE: iv.interval(0, F(1, 2)),
+            Label.INCOMPARABLE: iv.interval(F(1, 2), 1, False, True)})
+        slots = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)]
+        self._parts = dict(zip(slots, pool))
+        self._parts[slots[-1]] = fragile
+
+    def compare(self, x, y):
+        return self._table[x, y]
+
+    def classify_segment(self, x, y, z):
+        i, j, k = (int(p.coords[0]) for p in (x, y, z))
+        if i > j:
+            return self._parts[j, i, k].mirrored()
+        return self._parts[i, j, k]
+
+
+def test_verdicts_match_past_255_flag_words():
+    """More than 255 distinct words: later rows are lists, scanned by the
+    plain loop; the fragile hit sits in the last row."""
+    rel = _ManyWords(9)
+    engine = _assert_verdicts_match(rel, Universe(rel.points, closure_depth=0))
+    assert len(engine._words) > 256
+    assert type(engine.flag_row(8, 8)) is list
+    assert engine.verdict("fragile").witness["x"] == rel.points[8]

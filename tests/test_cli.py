@@ -93,6 +93,23 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
         assert code == 2 and "error:" in err, name
 
 
+def test_empty_universe_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({
+        "relation": {"kind": "multi_utility", "utilities": [["1", "0"]]},
+        "universe": {"points": []},
+    }))
+    for argv in (("axioms",), ("theorem", "P1"), ("represent",)):
+        code, _, err = run_cli(capsys, *argv, str(path))
+        assert code == 2 and "error:" in err, argv
+
+
+def test_zero_length_utility_rows_exit_2(tmp_path, capsys):
+    model = multi_utility_model(tmp_path, [[]])
+    code, _, err = run_cli(capsys, "axioms", model)
+    assert code == 2 and "error: bad multi_utility descriptor" in err
+
+
 def test_theorem_subcommand(tmp_path, capsys):
     pareto = multi_utility_model(tmp_path, [["2", "1", "0"], ["0", "1", "3"]])
     code, out, _ = run_cli(capsys, "theorem", "P3", pareto, "--json")

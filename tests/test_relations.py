@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefcheck import intervals as iv
+from prefcheck.axioms import AxiomEngine
 from prefcheck.catalog import ENTRY_IDS, load_entry
 from prefcheck.intervals import FULL, OPEN_UNIT, Interval, interval, point, union
 from prefcheck.quadratic import quad_pt
@@ -360,3 +362,27 @@ def test_integer_oracle_matches_reference(case):
     assert rel.compare(x, y) is ComparisonOutcome.from_weak(
         all(a >= b for a, b in zip(dx, dy)), all(b >= a for a, b in zip(dx, dy))
     )
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_cases())
+def test_flag_row_kernel_matches_segment_flags(case):
+    """The multi-utility row kernel, over one common denominator, gives
+    `segment_flags` for every target, and row (i, j) equals row (j, i)."""
+    rows, x, y, z = case
+    rel = MultiUtility(rows)
+    points = (x, y, z)
+    row = rel.segment_flag_rows(points)
+    for i, j in product(range(3), repeat=2):
+        want = [rel.segment_flags(points[i], points[j], p) for p in points]
+        assert row(i, j) == want
+        assert row(j, i) == want
+
+
+def test_default_flag_row_kernel_reads_partitions():
+    entry = load_entry("star_cvx_not_cvx")
+    rel = entry.relation
+    points = AxiomEngine(rel, entry.universe).points
+    row = rel.segment_flag_rows(points)
+    for i, j in product(range(len(points)), repeat=2):
+        assert row(i, j) == [rel.segment(points[i], points[j], p).flags for p in points]

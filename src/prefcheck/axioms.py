@@ -30,7 +30,7 @@ from .relations import (
     RelationModel,
     flag_bit,
 )
-from .spaces import DEFAULT_GRID, Point, augment_points, mixer, point_to_json
+from .spaces import DEFAULT_GRID, MixTable, Point, augment_points, point_to_json
 from .verdicts import AxiomVerdict, Status
 
 
@@ -238,7 +238,7 @@ class AxiomEngine:
     """Caches comparisons, grid mixtures, section flag words and verdicts
     for one (relation, universe).
 
-    Points are numbered by their place in `points`.  The scans read two
+    Points are numbered by their place in `points`.  The scans read three
     tables indexed by point number, each filled at the first scan that
     reads it:
 
@@ -248,7 +248,9 @@ class AxiomEngine:
     - flag rows: per unordered pair {i, j}, the ids of the flag words of
       (i, j, k) for every k, from the relation's row kernel.  An id
       indexes `_words`, the distinct words met so far.  A row is `bytes`
-      while at most 256 words are known, and a list after that.
+      while at most 256 words are known, and a list after that;
+    - mixtures: a `MixTable` seeded with `points`, so that it numbers
+      them the same way and numbers each new mixture after them.
     """
 
     def __init__(self, rel: RelationModel, universe: Universe):
@@ -260,7 +262,7 @@ class AxiomEngine:
             self.space, universe.points, universe.grid, universe.closure_depth
         )
         self._n = len(self.points)
-        self.mix = mixer(self.space)
+        self._mixtures: Optional[MixTable] = None
         self._cmp: dict[tuple[Point, Point], ComparisonOutcome] = {}
         self._outcomes: Optional[tuple[list[bytes], list[bytes]]] = None
         self._outcome_rows: dict[tuple[int, bool], list[int]] = {}
@@ -272,6 +274,19 @@ class AxiomEngine:
         self._verdicts: dict[str, AxiomVerdict] = {}
         self._strict_pairs: Optional[list[tuple[int, int]]] = None
         self._incomp: Optional[list[list[int]]] = None
+
+    # -- mixtures -------------------------------------------------------------
+
+    def _mix_table(self) -> MixTable:
+        """The engine's mixture table, built at the first call that mixes."""
+        if self._mixtures is None:
+            self._mixtures = MixTable(self.space, self.points)
+        return self._mixtures
+
+    def mix(self, x: Point, lam, y: Point) -> Point:
+        """x lam y, through the engine's mixture table."""
+        table = self._mix_table()
+        return table.points[table.mix(table.number(x), table.weight(lam), table.number(y))]
 
     # -- comparison layer ---------------------------------------------------
 
@@ -631,19 +646,21 @@ class AxiomEngine:
                 AxiomId.INDEPENDENT,
                 note="exact: utility gaps scale linearly in the mixing weight",
             )
-        weights = [g for g in self.grid if 0 < g <= 1]
-        for x in self.points:
-            for y in self.points:
-                same = self.equiv(x, y)
-                for z in self.points:
-                    for lam in weights:
+        table = self._mix_table()
+        mix, pts, n = table.mix, table.points, self._n
+        weights = [(lam, table.weight(lam)) for lam in self.grid if 0 < lam <= 1]
+        for i in range(n):
+            for j in range(n):
+                same = self.equiv(pts[i], pts[j])
+                for k in range(n):
+                    for lam, w in weights:
                         mixed_same = self.compare(
-                            self.mix(x, lam, z), self.mix(y, lam, z)
+                            pts[mix(i, w, k)], pts[mix(j, w, k)]
                         ) is ComparisonOutcome.EQUIVALENT
                         if mixed_same != same:
                             return _fails(
                                 AxiomId.INDEPENDENT,
-                                {"x": x, "y": y, "z": z, "lam": lam},
+                                {"x": pts[i], "y": pts[j], "z": pts[k], "lam": lam},
                                 note="indifference and mixed indifference disagree",
                             )
         return AxiomVerdict(

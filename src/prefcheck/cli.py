@@ -32,6 +32,9 @@ from .spaces import (
     space_from_json,
 )
 from .theorems import THEOREMS, run_harness_all_variants
+from .verdicts import Status
+
+STATUSES = tuple(status.value for status in Status)
 
 
 class ModelError(ValueError):
@@ -105,12 +108,13 @@ def load_model(path: str, grid_override=None, depth_override=None):
     if "universe" in raw:
         u = raw["universe"]
         try:
-            points = tuple(point_from_json(p) for p in u["points"])
+            points, grid = u["points"], u.get("grid", [str(g) for g in DEFAULT_GRID])
+            for key, value in (("points", points), ("grid", grid)):
+                if not isinstance(value, list):
+                    raise TypeError(f"{key} must be a JSON array, got {value!r}")
             depth = u.get("closure_depth", 1)
             universe = Universe(
-                points,
-                depth,
-                _parse_grid(u.get("grid", [str(g) for g in DEFAULT_GRID])),
+                tuple(point_from_json(p) for p in points), depth, _parse_grid(grid)
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"bad universe: {exc}")
@@ -167,7 +171,11 @@ def _parse_expect(pairs) -> dict[str, str]:
         if "=" not in pair:
             raise ModelError(f"bad --expect entry (want axiom=status): {pair!r}")
         key, _, value = pair.partition("=")
-        out[key.strip()] = value.strip()
+        key, value = key.strip(), value.strip()
+        if value not in STATUSES:
+            raise ModelError(f"bad --expect status {value!r} (want one of "
+                             f"{', '.join(STATUSES)})")
+        out[key] = value
     return out
 
 
@@ -189,12 +197,12 @@ def cmd_axioms(args) -> int:
     for name in wanted:
         if name not in known:
             raise ModelError(f"unknown axiom: {name!r}")
-    verdicts = {name: engine.verdict(name) for name in wanted}
-
     expect = _parse_expect(args.expect)
     for name in expect:
         if name not in known:
             raise ModelError(f"unknown axiom in --expect: {name!r}")
+    verdicts = {name: engine.verdict(name) for name in wanted}
+
     mismatches = [
         f"{name}: expected {want}, got {engine.verdict(name).status.value}"
         for name, want in sorted(expect.items())
@@ -296,6 +304,8 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.count < 0:
+        raise ModelError(f"--count must be non-negative, got {args.count}")
     rng_seed = args.seed if args.seed is not None else None
     violations = []
     checked = 0

@@ -8,10 +8,11 @@ carrier by the symmetric part of a relation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .intervals import ONE, ZERO, Interval, SectionSet, rat
 from .verdicts import AxiomVerdict, Status
@@ -208,24 +209,49 @@ def mix(space: MixtureSpace, x: Point, lam, y: Point) -> Point:
     return space.mix(x, lam, y)
 
 
-def mixer(space: MixtureSpace) -> Callable[[Point, Fraction, Point], Point]:
-    """`space.mix` backed by a table keyed on (x, lam, y).
+class MixTable:
+    """`space.mix` over numbered points and weights (hash-consing).
 
-    `mix` is a pure function of its arguments, so the table returns equal
-    points and stays exact; each distinct call reaches the carrier once.
-    A table lives as long as the scan or engine that made it.
+    A point gets a number on first sight, keyed by `Point`, so equal points
+    share one and comparing numbers is comparing points; a weight gets one
+    keyed by its value.  `mix(i, w, j)` is the number of points[i] mixed
+    with points[j] at weights[w], memoised on the int triple: `mix` is a pure
+    function of its arguments, so each distinct (x, lam, y) reaches the
+    carrier once.  A table lives as long as the scan or engine that made it.
     """
-    table: dict[tuple[Point, Fraction, Point], Point] = {}
-    carrier_mix = space.mix
 
-    def memo(x: Point, lam, y: Point) -> Point:
-        key = (x, lam, y)
-        got = table.get(key)
+    def __init__(self, space: MixtureSpace, points: Sequence[Point] = ()):
+        self.points: list[Point] = []
+        self.weights: list = []
+        self._point_ids: dict[Point, int] = {}
+        self._weight_ids: dict = {}
+        self._mixed: dict[tuple[int, int, int], int] = {}
+        self._carrier_mix = space.mix
+        for p in points:
+            self.number(p)
+
+    def number(self, p: Point) -> int:
+        got = self._point_ids.get(p)
         if got is None:
-            got = table[key] = carrier_mix(x, lam, y)
+            got = self._point_ids[p] = len(self.points)
+            self.points.append(p)
         return got
 
-    return memo
+    def weight(self, lam) -> int:
+        got = self._weight_ids.get(lam)
+        if got is None:
+            got = self._weight_ids[lam] = len(self.weights)
+            self.weights.append(lam)
+        return got
+
+    def mix(self, i: int, w: int, j: int) -> int:
+        key = (i, w, j)
+        got = self._mixed.get(key)
+        if got is None:
+            p = self.points
+            got = self._mixed[key] = self.number(
+                self._carrier_mix(p[i], self.weights[w], p[j]))
+        return got
 
 
 DEFAULT_GRID: tuple[Fraction, ...] = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
@@ -259,14 +285,6 @@ def augment_points(
     return out
 
 
-def _equality(relation: Optional["RelationModel"]):
-    if relation is None:
-        return lambda p, q: p == q
-    from .relations import ComparisonOutcome
-
-    return lambda p, q: relation.compare(p, q) is ComparisonOutcome.EQUIVALENT
-
-
 def check_mixture_axioms(
     space: MixtureSpace,
     points: Sequence[Point],
@@ -278,30 +296,48 @@ def check_mixture_axioms(
     Each axiom's witness is its first failing tuple in scan order; a failed
     axiom is not evaluated again.
     """
-    eq = _equality(relation)
-    prefix = "S" if relation is None else "M"
+    table = MixTable(space)
+    mix, pts, weight = table.mix, table.points, table.weight
+    ids = [table.number(p) for p in points]
+    if relation is None:
+        prefix, eq = "S", operator.eq
+    else:
+        from .relations import ComparisonOutcome
+
+        compare, equivalent = relation.compare, ComparisonOutcome.EQUIVALENT
+        prefix = "M"
+
+        def eq(a: int, b: int) -> bool:
+            return compare(pts[a], pts[b]) is equivalent
+
     names = [f"{prefix}{i}" for i in (1, 2, 3, 4)]
-    mix = mixer(space)
+    # weight numbers by grid position: g[m] is mu, flip[m] is 1 - mu,
+    # prod[m][l] is lam * mu and comb[m][l][b] is mu*lam + (1-mu)*beta
+    one, g = weight(ONE), [weight(mu) for mu in grid]
+    flip = [weight(1 - mu) for mu in grid]
+    prod = [[weight(lam * mu) for lam in grid] for mu in grid]
+    comb = [[[weight(mu * lam + (1 - mu) * beta) for beta in grid] for lam in grid]
+            for mu in grid]
     witnesses: list[Optional[dict]] = [None] * 4
 
-    for x in points:
-        for y in points:
-            if witnesses[0] is None and not eq(mix(x, ONE, y), x):
-                witnesses[0] = {"x": x, "y": y}
-            for mu in grid:
-                if witnesses[1] is None and not eq(mix(x, mu, y), mix(y, 1 - mu, x)):
-                    witnesses[1] = {"x": x, "y": y, "mu": mu}
-                for lam in grid:
+    for x in ids:
+        for y in ids:
+            if witnesses[0] is None and not eq(mix(x, one, y), x):
+                witnesses[0] = {"x": pts[x], "y": pts[y]}
+            for m, mu in enumerate(grid):
+                if witnesses[1] is None and not eq(mix(x, g[m], y), mix(y, flip[m], x)):
+                    witnesses[1] = {"x": pts[x], "y": pts[y], "mu": mu}
+                for l, lam in enumerate(grid):
                     if witnesses[2] is None and not eq(
-                        mix(mix(x, mu, y), lam, y), mix(x, lam * mu, y)
+                        mix(mix(x, g[m], y), g[l], y), mix(x, prod[m][l], y)
                     ):
-                        witnesses[2] = {"x": x, "y": y, "mu": mu, "lam": lam}
+                        witnesses[2] = {"x": pts[x], "y": pts[y], "mu": mu, "lam": lam}
                     if witnesses[3] is None:
                         witnesses[3] = next((
-                            {"x": x, "y": y, "lam": lam, "mu": mu, "beta": beta}
-                            for beta in grid
-                            if not eq(mix(mix(x, lam, y), mu, mix(x, beta, y)),
-                                      mix(x, mu * lam + (1 - mu) * beta, y))
+                            {"x": pts[x], "y": pts[y], "lam": lam, "mu": mu, "beta": beta}
+                            for b, beta in enumerate(grid)
+                            if not eq(mix(mix(x, g[l], y), g[m], mix(x, g[b], y)),
+                                      mix(x, comb[m][l][b], y))
                         ), None)
     return {
         name: AxiomVerdict(name, Status.FAILS, witness)
@@ -320,24 +356,28 @@ def check_c1_c2(
     A pass certifies the tested tuples only, hence status `sampled`;
     failures are definitive and carry a witness.
     """
-    mix = mixer(space)
-    inner_grid = [g for g in grid if ZERO < g < ONE]
+    table = MixTable(space)
+    mix, pts, weight = table.mix, table.points, table.weight
+    ids = [table.number(p) for p in points]
+    inner_grid = [(lam, weight(lam)) for lam in grid if ZERO < lam < ONE]
     c1_witness = next((
-        {"x": x, "y": y, "y_prime": y_prime, "lam": lam}
-        for x, y, y_prime in product(points, repeat=3) if y != y_prime
-        for lam in inner_grid
-        if mix(x, lam, y) == mix(x, lam, y_prime)
+        {"x": pts[x], "y": pts[y], "y_prime": pts[y_prime], "lam": lam}
+        for x, y, y_prime in product(ids, repeat=3) if y != y_prime
+        for lam, w in inner_grid
+        if mix(x, w, y) == mix(x, w, y_prime)
     ), None)
 
     weights = sorted(set(grid) | {ZERO, ONE})
-    # (lam, mu, lam * mu, inner weight) for every weight pair with lam * mu != 1
-    pairs = [(lam, mu, lam * mu, mu * (1 - lam) / (1 - lam * mu))
+    # every weight pair with lam * mu != 1, with the numbers of lam, mu,
+    # lam * mu and the inner weight
+    pairs = [(lam, mu, weight(lam), weight(mu), weight(lam * mu),
+              weight(mu * (1 - lam) / (1 - lam * mu)))
              for lam, mu in product(weights, repeat=2) if lam * mu != 1]
     c2_witness = next((
-        {"x": x, "y": y, "z": z, "lam": lam, "mu": mu}
-        for x, y, z in product(points, repeat=3)
-        for lam, mu, lam_mu, inner in pairs
-        if mix(mix(x, lam, y), mu, z) != mix(x, lam_mu, mix(y, inner, z))
+        {"x": pts[x], "y": pts[y], "z": pts[z], "lam": lam, "mu": mu}
+        for x, y, z in product(ids, repeat=3)
+        for lam, mu, w_lam, w_mu, w_lam_mu, w_inner in pairs
+        if mix(mix(x, w_lam, y), w_mu, z) != mix(x, w_lam_mu, mix(y, w_inner, z))
     ), None)
 
     verdicts: dict[str, AxiomVerdict] = {}
@@ -399,15 +439,17 @@ def quotient(
                             {"x": ca[0], "x_prime": a, "y": cb[0], "y_prime": b},
                         )
 
-    mix = mixer(space)
-    for ca in classes:
-        for cb in classes:
-            for lam in grid:
-                ref = mix(ca[0], lam, cb[0])
-                for a in ca:
-                    for b in cb:
-                        got = mix(a, lam, b)
-                        if not indifferent(ref, got):
+    table = MixTable(space)
+    mix, pts = table.mix, table.points
+    numbered = [[table.number(p) for p in cls] for cls in classes]
+    weights = [(lam, table.weight(lam)) for lam in grid]
+    for ca, ia in zip(classes, numbered):
+        for cb, ib in zip(classes, numbered):
+            for lam, w in weights:
+                ref = pts[mix(ia[0], w, ib[0])]
+                for a, i in zip(ca, ia):
+                    for b, j in zip(cb, ib):
+                        if not indifferent(ref, pts[mix(i, w, j)]):
                             raise QuotientError(
                                 "class mixture depends on representatives "
                                 "(the relation is not independent)",
@@ -431,9 +473,10 @@ def point_to_json(p: Point):
 
 
 def point_from_json(obj) -> Point:
-    if isinstance(obj, dict):
-        return Point(tuple(rat(c) for c in obj["coords"]), part=obj.get("part"))
-    return Point(tuple(rat(c) for c in obj))
+    coords, part = (obj["coords"], obj.get("part")) if isinstance(obj, dict) else (obj, None)
+    if not isinstance(coords, (list, tuple)):
+        raise TypeError(f"point coordinates must be a JSON array, got {coords!r}")
+    return Point(tuple(rat(c) for c in coords), part=part)
 
 
 def space_from_json(obj: dict) -> MixtureSpace:

@@ -1,6 +1,7 @@
-"""The benchmark's tracer wraps engine methods and harness functions by
-name; traced passes of a small `scale` model and a short `fuzz` run must
-still run, so renaming a wrapped function fails here."""
+"""The benchmark's tracer wraps engine methods, space checks and harness
+functions by name; traced passes of a small `scale` model, a short `fuzz`
+run and a four-entry `catalog` must still run and reach the wrapped
+layers, so renaming a wrapped function fails here."""
 
 import importlib.util
 import json
@@ -22,14 +23,18 @@ def _workloads():
     return sys.modules[name]
 
 
-@pytest.mark.parametrize("workload", ["scale", "fuzz"])
+@pytest.mark.parametrize("workload", ["scale", "fuzz", "catalog"])
 def test_traced_scale_pass_runs(tmp_path, workload):
     if workload == "scale":
         model = tmp_path / "scale.json"
         model.write_text(json.dumps(_workloads().scale_model(1, 12)))
         argv = ["axioms", str(model), "--json"]
-    else:
+    elif workload == "fuzz":
         argv = ["fuzz", "--count", "5", "--seed", "1", "--json"]
+    else:
+        argv = ["catalog", "--json"]
+        for entry in _workloads().TINY_ENTRIES:
+            argv += ["--entry", entry]
     run = subprocess.run(
         [sys.executable, "-B", str(PERFBENCH / "child.py"), workload, "pass",
          str(tmp_path / "out.json"), "hooks", str(tmp_path / "spans.jsonl"),
@@ -43,5 +48,9 @@ def test_traced_scale_pass_runs(tmp_path, workload):
     if workload == "scale":
         assert result["layers"]["axioms.verdicts"] == 24
         assert len(json.loads((tmp_path / "out.json").read_text())["verdicts"]) == 24
-    else:
+    elif workload == "fuzz":
         assert result["layers"]["theorems.harness.calls"] > 0
+    else:
+        for metric in ("spaces.c1_c2.busy_s", "spaces.mixture_axioms.busy_s",
+                       "axioms.independent.busy_s", "spaces.canonical.calls"):
+            assert result["layers"][metric] > 0, metric

@@ -52,6 +52,9 @@ def test_axioms_expectation_contract(tmp_path, capsys):
                            "--expect", "complete=holds")
     assert code == 1
     assert "MISMATCH" in out
+    code, out, err = run_cli(capsys, "axioms", model, "--axiom", "complete",
+                             "--expect", "complete=maybe")
+    assert code == 2 and "error:" in err and out == ""
 
 
 def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
@@ -67,6 +70,7 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "axioms", model, "--closure-depth", "-1")
     assert code == 2 and "error:" in err
     relation = {"kind": "multi_utility", "utilities": [["1", "0", "0"]]}
+    unit = {"kind": "catalog", "id": "appx1"}
     for name, raw in (
         ("scalar_points", {"relation": relation, "universe": {"points": [1, 2]}}),
         ("array", [relation]),
@@ -86,6 +90,10 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
                                            "utilities": [[1e400, 0, 1]]}}),
         ("overflow_point", {"relation": relation, "universe": {"points": [[1e400, 0, 0]]}}),
         ("overflow_dim", {"relation": relation, "space": {"kind": "simplex", "dim": 1e400}}),
+        # arrays, not strings read one character at a time
+        ("string_grid", {"relation": unit, "universe": {"points": [["0"]], "grid": "1"}}),
+        ("string_points", {"relation": unit, "universe": {"points": "01"}}),
+        ("string_point", {"relation": unit, "universe": {"points": ["0", "1"]}}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(raw))
@@ -219,6 +227,10 @@ def test_fuzz_subcommand(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["instances"] == 4 and payload["violations"] == []
+    code, out, _ = run_cli(capsys, "fuzz", "--count", "0", "--json")
+    assert code == 0 and json.loads(out)["instances"] == 0
+    code, out, err = run_cli(capsys, "fuzz", "--count", "-3")
+    assert code == 2 and "error:" in err and out == ""
 
 
 def test_grid_and_depth_overrides(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import operator
 import zlib
 from collections import Counter
 from fractions import Fraction
@@ -176,13 +177,15 @@ def test_mixture_axioms_report_the_first_failing_tuple():
     assert all(verdicts[name].passed for name in ("S1", "S3", "S4"))
 
 
-def hashed_interval(points, seed):
+def hashed_interval(points, seed, fresh=False):
     """A pure but broken carrier: x lam y is a seeded-hash choice among
-    `points`, so nested mixtures stay in the point set."""
+    `points`, so nested mixtures stay in the point set.  With `fresh`, each
+    call returns a new `Point` equal to the chosen one."""
 
     class Hashed(RealInterval):
         def mix(self, x, lam, y):
-            return points[zlib.crc32(f"{seed}|{x}|{lam}|{y}".encode()) % len(points)]
+            got = points[zlib.crc32(f"{seed}|{x}|{lam}|{y}".encode()) % len(points)]
+            return Point(tuple(got.coords)) if fresh else got
 
     return Hashed(F(0), F(4))
 
@@ -191,10 +194,10 @@ WEIGHTS = (F(0), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1))
 
 
 @st.composite
-def hashed_carriers(draw):
+def hashed_carriers(draw, fresh=False):
     """A hashed carrier over 2-4 points, with a grid drawn from WEIGHTS."""
     points = [pt(i) for i in range(draw(st.integers(2, 4)))]
-    space = hashed_interval(points, draw(st.integers(0, 2**32 - 1)))
+    space = hashed_interval(points, draw(st.integers(0, 2**32 - 1)), fresh)
     grid = tuple(w for w in WEIGHTS if draw(st.booleans())) or (F(1, 2),)
     return space, points, grid
 
@@ -210,10 +213,8 @@ def assert_verdict(verdict, witness, passing=Status.HOLDS):
     assert list((verdict.witness or {}).items()) == list((witness or {}).items())
 
 
-@settings(max_examples=200, deadline=None)
-@given(hashed_carriers())
-def test_c1_c2_match_their_definitions(case):
-    space, points, grid = case
+def c1_c2_by_definition(space, points, grid):
+    """First C1 and C2 witnesses in scan order, from plain `space.mix`."""
     mix = space.mix
     inner = [g for g in grid if 0 < g < 1]
     weights = sorted(set(grid) | {F(0), F(1)})
@@ -227,34 +228,74 @@ def test_c1_c2_match_their_definitions(case):
          if lam * mu != 1),
         lambda x, y, z, lam, mu: mix(mix(x, lam, y), mu, z)
         != mix(x, lam * mu, mix(y, mu * (1 - lam) / (1 - lam * mu), z)))
-    verdicts = check_c1_c2(space, points, grid)
-    assert_verdict(verdicts["C1"], c1, Status.SAMPLED)
-    assert_verdict(verdicts["C2"], c2, Status.SAMPLED)
+    return {"C1": c1, "C2": c2}
+
+
+def s1_s4_by_definition(space, points, grid, same=operator.eq, prefix="S"):
+    """First witnesses of S1-S4 (M1-M4 when `same` is an indifference) in
+    scan order, from plain `space.mix`."""
+    mix = space.mix
+    pairs = list(product(points, points))
+    expected = {
+        "1": first_witness(("x", "y"), pairs, lambda x, y: not same(mix(x, 1, y), x)),
+        "2": first_witness(
+            ("x", "y", "mu"), product(points, points, grid),
+            lambda x, y, mu: not same(mix(x, mu, y), mix(y, 1 - mu, x))),
+        "3": first_witness(
+            ("x", "y", "mu", "lam"), product(points, points, grid, grid),
+            lambda x, y, mu, lam: not same(mix(mix(x, mu, y), lam, y),
+                                           mix(x, lam * mu, y))),
+    }
+    # S4 scans mu, then lam, then beta, but names lam before mu
+    s4 = first_witness(
+        ("x", "y", "mu", "lam", "beta"), product(points, points, grid, grid, grid),
+        lambda x, y, mu, lam, beta: not same(mix(mix(x, lam, y), mu, mix(x, beta, y)),
+                                             mix(x, mu * lam + (1 - mu) * beta, y)))
+    expected["4"] = s4 and {k: s4[k] for k in ("x", "y", "lam", "mu", "beta")}
+    return {prefix + k: witness for k, witness in expected.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(hashed_carriers())
+def test_c1_c2_match_their_definitions(case):
+    verdicts = check_c1_c2(*case)
+    for name, witness in c1_c2_by_definition(*case).items():
+        assert_verdict(verdicts[name], witness, Status.SAMPLED)
 
 
 @settings(max_examples=200, deadline=None)
 @given(hashed_carriers())
 def test_s1_s4_match_their_definitions(case):
+    verdicts = check_mixture_axioms(*case)
+    for name, witness in s1_s4_by_definition(*case).items():
+        assert_verdict(verdicts[name], witness)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hashed_carriers(), st.data())
+def test_m1_m4_match_their_definitions(case, data):
     space, points, grid = case
-    mix = space.mix
-    pairs = list(product(points, points))
-    expected = {
-        "S1": first_witness(("x", "y"), pairs, lambda x, y: mix(x, 1, y) != x),
-        "S2": first_witness(
-            ("x", "y", "mu"), product(points, points, grid),
-            lambda x, y, mu: mix(x, mu, y) != mix(y, 1 - mu, x)),
-        "S3": first_witness(
-            ("x", "y", "mu", "lam"), product(points, points, grid, grid),
-            lambda x, y, mu, lam: mix(mix(x, mu, y), lam, y) != mix(x, lam * mu, y)),
-    }
-    # S4 scans mu, then lam, then beta, but names lam before mu
-    s4 = first_witness(
-        ("x", "y", "mu", "lam", "beta"), product(points, points, grid, grid, grid),
-        lambda x, y, mu, lam, beta: mix(mix(x, lam, y), mu, mix(x, beta, y))
-        != mix(x, mu * lam + (1 - mu) * beta, y))
-    expected["S4"] = s4 and {k: s4[k] for k in ("x", "y", "lam", "mu", "beta")}
-    verdicts = check_mixture_axioms(space, points, grid)
-    for name, witness in expected.items():
+    outcomes = st.sampled_from(list(ComparisonOutcome))
+    table = {(x, y): data.draw(outcomes) for x in points for y in points}
+    rel = PointwiseOnly("table", space, lambda x, y: table[x, y])
+
+    def indifferent(x, y):
+        return table[x, y] is ComparisonOutcome.EQUIVALENT
+
+    verdicts = check_mixture_axioms(space, points, grid, relation=rel)
+    for name, witness in s1_s4_by_definition(*case, indifferent, "M").items():
+        assert_verdict(verdicts[name], witness)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hashed_carriers(fresh=True))
+def test_equal_points_are_one_point_to_the_scans(case):
+    """A carrier that returns a new but equal `Point` on every call: the
+    scans compare points by value, as their definitions do."""
+    verdicts = {**check_c1_c2(*case), **check_mixture_axioms(*case)}
+    for name, witness in c1_c2_by_definition(*case).items():
+        assert_verdict(verdicts[name], witness, Status.SAMPLED)
+    for name, witness in s1_s4_by_definition(*case).items():
         assert_verdict(verdicts[name], witness)
 
 
@@ -291,19 +332,30 @@ def counting_interval():
 
 
 def test_scans_mix_each_distinct_argument_once():
-    """C1/C2, S1-S4 and independence reach the carrier once per distinct
-    (x, lam, y); each scan runs in full, since every axiom holds."""
+    """C1/C2, S1-S4 and an engine (its independence scan, then `engine.mix`)
+    reach the carrier once per distinct (x, lam, y); each scan runs in
+    full, since every axiom holds."""
     points = [pt(0), pt(F(1, 2)), pt(1)]
 
     def by_value(x, y):
         return ComparisonOutcome.from_weak(x.coords >= y.coords, y.coords >= x.coords)
 
+    def engine_scan(space):
+        """Independence, then every grid mixture of the universe through
+        `engine.mix`: both read the engine's one table."""
+        engine = AxiomEngine(PointwiseOnly("by_value", space, by_value),
+                             Universe(tuple(points), closure_depth=0))
+        verdict = engine.verdict("independent")
+        exact = RealInterval(F(0), F(1))
+        for x, y in product(points, repeat=2):
+            for lam in DEFAULT_GRID:
+                assert engine.mix(x, lam, y) == exact.mix(x, lam, y)
+        return [verdict]
+
     scans = {
         "c1_c2": lambda space: check_c1_c2(space, points).values(),
         "mixture_axioms": lambda space: check_mixture_axioms(space, points).values(),
-        "independent": lambda space: [AxiomEngine(
-            PointwiseOnly("by_value", space, by_value),
-            Universe(tuple(points), closure_depth=0)).verdict("independent")],
+        "engine": engine_scan,
     }
     for name, scan in scans.items():
         space, calls = counting_interval()

@@ -249,8 +249,9 @@ class AxiomEngine:
       (i, j, k) for every k, from the relation's row kernel.  An id
       indexes `_words`, the distinct words met so far.  A row is `bytes`
       while at most 256 words are known, and a list after that;
-    - mixtures: a `MixTable` seeded with `points`, so that it numbers
-      them the same way and numbers each new mixture after them.
+    - mixtures: a `MixTable` that numbers `points` first, in order, so
+      that point i of the engine is point i of the table and each new
+      mixture is numbered after them.
     """
 
     def __init__(self, rel: RelationModel, universe: Universe):
@@ -277,15 +278,19 @@ class AxiomEngine:
 
     # -- mixtures -------------------------------------------------------------
 
-    def _mix_table(self) -> MixTable:
-        """The engine's mixture table, built at the first call that mixes."""
+    def mix_table(self) -> MixTable:
+        """The engine's mixture table, built at the first call that mixes.
+
+        Table number i is `points[i]`, so scans mix by point number."""
         if self._mixtures is None:
-            self._mixtures = MixTable(self.space, self.points)
+            table = self._mixtures = MixTable(self.space)
+            for p in self.points:
+                table.number(p)
         return self._mixtures
 
     def mix(self, x: Point, lam, y: Point) -> Point:
         """x lam y, through the engine's mixture table."""
-        table = self._mix_table()
+        table = self.mix_table()
         return table.points[table.mix(table.number(x), table.weight(lam), table.number(y))]
 
     # -- comparison layer ---------------------------------------------------
@@ -584,9 +589,11 @@ class AxiomEngine:
                 AxiomId.STRONG_ARCHIMEDEAN,
                 "no segment oracle and no pointwise witness constructor",
             )
+        table = self.mix_table()
+        mix, weight, mixed = table.mix, table.weight, table.points
         for i, j in pairs:
             x, y = self.points[i], self.points[j]
-            for z in self.points:
+            for k, z in enumerate(self.points):
                 got = fn(x, y, z)
                 if got is None:
                     return _na(
@@ -597,9 +604,9 @@ class AxiomEngine:
                 ok = (
                     0 < lam < 1
                     and 0 < delta < 1
-                    and self.rel.compare(self.mix(x, lam, z), y)
+                    and self.rel.compare(mixed[mix(i, weight(lam), k)], y)
                     is ComparisonOutcome.BETTER
-                    and self.rel.compare(self.mix(y, delta, z), x)
+                    and self.rel.compare(mixed[mix(j, weight(delta), k)], x)
                     is ComparisonOutcome.WORSE
                 )
                 if not ok:  # pragma: no cover - witness constructors are exact
@@ -646,7 +653,7 @@ class AxiomEngine:
                 AxiomId.INDEPENDENT,
                 note="exact: utility gaps scale linearly in the mixing weight",
             )
-        table = self._mix_table()
+        table = self.mix_table()
         mix, pts, n = table.mix, table.points, self._n
         weights = [(lam, table.weight(lam)) for lam in self.grid if 0 < lam <= 1]
         for i in range(n):

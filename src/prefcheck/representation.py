@@ -237,13 +237,15 @@ def verify_representation(
                      "outcome": got.value}
                 )
 
-    for x in engine.points:
+    table = engine.mix_table()
+    mix, mixed = table.mix, table.points
+    weights = [(g, table.weight(g)) for g in engine.grid]
+    for i, x in enumerate(engine.points):
         vx = representation_value(rep, engine, x)
-        for y in engine.points:
+        for j, y in enumerate(engine.points):
             vy = representation_value(rep, engine, y)
-            for g in engine.grid:
-                mixed = engine.mix(x, g, y)
-                vm = representation_value(rep, engine, mixed)
+            for g, w in weights:
+                vm = representation_value(rep, engine, mixed[mix(i, w, j)])
                 report.mixture_checked += 1
                 if vm != g * vx + (1 - g) * vy:
                     report.failures.append(

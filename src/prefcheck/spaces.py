@@ -220,15 +220,13 @@ class MixTable:
     carrier once.  A table lives as long as the scan or engine that made it.
     """
 
-    def __init__(self, space: MixtureSpace, points: Sequence[Point] = ()):
+    def __init__(self, space: MixtureSpace):
         self.points: list[Point] = []
         self.weights: list = []
         self._point_ids: dict[Point, int] = {}
         self._weight_ids: dict = {}
         self._mixed: dict[tuple[int, int, int], int] = {}
         self._carrier_mix = space.mix
-        for p in points:
-            self.number(p)
 
     def number(self, p: Point) -> int:
         got = self._point_ids.get(p)

@@ -342,10 +342,12 @@ def test_scans_mix_each_distinct_argument_once():
 
     def engine_scan(space):
         """Independence, then every grid mixture of the universe through
-        `engine.mix`: both read the engine's one table."""
+        `engine.mix`: both read the engine's one table, whose numbers
+        start with the engine's points in order."""
         engine = AxiomEngine(PointwiseOnly("by_value", space, by_value),
                              Universe(tuple(points), closure_depth=0))
         verdict = engine.verdict("independent")
+        assert engine.mix_table().points[:len(engine.points)] == engine.points
         exact = RealInterval(F(0), F(1))
         for x, y in product(points, repeat=2):
             for lam in DEFAULT_GRID:

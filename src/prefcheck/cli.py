@@ -29,6 +29,7 @@ from .spaces import (
     point_from_json,
     point_to_json,
     quotient,
+    rat_from_json,
     space_from_json,
 )
 from .theorems import THEOREMS, run_harness_all_variants
@@ -43,8 +44,8 @@ class ModelError(ValueError):
 
 def _parse_grid(values) -> tuple[Fraction, ...]:
     try:
-        grid = tuple(Fraction(v) for v in values)
-    except (ValueError, ZeroDivisionError) as exc:
+        grid = tuple(rat_from_json(v) for v in values)
+    except (TypeError, ValueError) as exc:
         raise ModelError(f"bad grid weight: {exc}")
     if not grid or any(not 0 <= g <= 1 for g in grid):
         raise ModelError("grid weights must lie in [0,1]")
@@ -84,7 +85,8 @@ def load_model(path: str, grid_override=None, depth_override=None):
         space, relation, universe = entry.space, entry.relation, entry.universe
     elif kind == "multi_utility":
         try:
-            relation = MultiUtility(rel_desc["utilities"])
+            relation = MultiUtility([[rat_from_json(v) for v in row]
+                                     for row in rel_desc["utilities"]])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"bad multi_utility descriptor: {exc}")
         space = relation.space

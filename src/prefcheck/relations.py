@@ -7,6 +7,7 @@ the unit interval.  All section sets are read off that partition.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -16,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from . import intervals as iv
 from .intervals import EMPTY, FULL, Interval, SectionSet
-from .spaces import CarrierError, MixtureSpace, Point, Simplex
+from .spaces import CarrierError, MixtureSpace, Point, RealInterval, Simplex, pt
 
 
 class ComparisonOutcome(Enum):
@@ -355,6 +356,39 @@ def _integer_cuts(gaps) -> list:
     return cuts
 
 
+def _merge_runs(weights: Sequence[Fraction], labels: Sequence[Label]) -> tuple:
+    """Maximal same-label runs over the sorted cut weights, from 0 to 1:
+    labels[2k] labels the cut weights[k] and labels[2k + 1] the open gap
+    after it."""
+    pieces = []
+    start = start_closed = label = None
+    for e, lab in enumerate(labels):
+        if lab is label:
+            continue
+        at, is_point = weights[e >> 1], not e & 1
+        if label is not None:
+            pieces.append((Interval(start, at, start_closed, not is_point), label))
+        start, start_closed, label = at, is_point, lab
+    pieces.append((Interval(start, iv.ONE, start_closed, True), label))
+    return tuple(pieces)
+
+
+def _elementary_labels(pieces) -> tuple[list, tuple]:
+    """The cut weights of a partition and its elementary labels: labels[2k]
+    at the cut weights[k], labels[2k + 1] on the open gap after it."""
+    weights, labels = [], []
+    for piece, label in pieces:
+        if piece.lo_closed:  # else the piece before owns the cut
+            weights.append(piece.lo)
+            labels.append(label)
+        if piece.lo != piece.hi:
+            labels.append(label)
+            if piece.hi_closed:
+                weights.append(piece.hi)
+                labels.append(label)
+    return weights, tuple(labels)
+
+
 def _shape_flags(shape: tuple[int, ...]) -> int:
     """Flag word of the partition whose cuts carry the tags `shape`, in order.
 
@@ -450,28 +484,17 @@ class MultiUtility(RelationModel):
     def _runs(cuts: list) -> tuple:
         """Maximal same-label runs over the sorted cuts: each cut point and
         each open gap between cuts is labeled by its ge/le membership."""
-        pieces = []
+        labels = []
         in_ge = in_le = False
-        start = start_closed = label = None
-        weights = [iv.ZERO] + [Fraction(num, den) for num, den, _ in cuts[1:-1]] + [iv.ONE]
-        for k, (_, _, tags) in enumerate(cuts):
-            at = weights[k]
+        for _, _, tags in cuts:
             point_ge = in_ge or bool(tags & _GE_LO)
             point_le = in_le or bool(tags & _LE_LO)
             in_ge = point_ge and not tags & _GE_HI
             in_le = point_le and not tags & _LE_HI
             # the point, then the open gap after it (none after 1)
-            elementary = [(_PAIR_LABEL[point_ge, point_le], True)]
-            if k + 1 < len(cuts):
-                elementary.append((_PAIR_LABEL[in_ge, in_le], False))
-            for lab, is_point in elementary:
-                if lab is label:
-                    continue
-                if label is not None:
-                    pieces.append((Interval(start, at, start_closed, not is_point), label))
-                start, start_closed, label = at, is_point, lab
-        pieces.append((Interval(start, iv.ONE, start_closed, True), label))
-        return tuple(pieces)
+            labels += (_PAIR_LABEL[point_ge, point_le], _PAIR_LABEL[in_ge, in_le])
+        weights = [iv.ZERO] + [Fraction(num, den) for num, den, _ in cuts[1:-1]] + [iv.ONE]
+        return _merge_runs(weights, labels[:-1])
 
     def descriptor(self) -> dict:
         return {
@@ -504,6 +527,56 @@ class CatalogPiecewise(RelationModel):
         if self._segment is None:  # pragma: no cover - catalog entries supply one
             return super().classify_segment(x, y, z)
         return self._segment(x, y, z)
+
+    def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
+        # On an interval, x`lam`y is the point lam*x0 + (1-lam)*y0, so the
+        # partition of (x, y, z) is that of the full segment (hi, lo, z) on
+        # the weights between those of x0 and y0, rescaled.  Every flag bit
+        # is topological and mirror invariant, so the word depends only on
+        # the full partition's elementary labels over that slice.
+        space = self.space
+        if not isinstance(space, RealInterval):
+            return super().segment_flag_rows(points)
+        top, bottom, width = pt(space.hi), pt(space.lo), space.hi - space.lo
+        at = [(p.coords[0] - space.lo) / width for p in points]
+        targets = []
+        for z in points:
+            # a point's position is 2k on the cut k and 2k - 1 inside the
+            # gap before it, so the slice is labels[a:b + 1]
+            weights, labels = _elementary_labels(self.segment(top, bottom, z).pieces)
+            pos = []
+            for w in at:
+                k = bisect_left(weights, w)
+                pos.append(2 * k if weights[k] == w else 2 * k - 1)
+            targets.append((pos, labels, {}))
+        words: dict[tuple[Label, ...], int] = {}
+
+        def word(labels: tuple, a: int, b: int) -> int:
+            if a == b:
+                key = (labels[a],) * 3
+            else:
+                # an end inside a gap takes the gap's label as its point label
+                key = (labels[a],) * (a & 1) + labels[a:b + 1] + (labels[b],) * (b & 1)
+            got = words.get(key)
+            if got is None:
+                m = len(key) // 2
+                pieces = _merge_runs([Fraction(k, m) for k in range(m + 1)], key)
+                got = words[key] = LabeledPartition(pieces).flags
+            return got
+
+        def row(i: int, j: int) -> list:
+            out = []
+            for pos, labels, seen in targets:
+                a, b = pos[i], pos[j]
+                if b < a:
+                    a, b = b, a
+                got = seen.get((a, b))
+                if got is None:
+                    got = seen[a, b] = word(labels, a, b)
+                out.append(got)
+            return out
+
+        return row
 
     def descriptor(self) -> dict:
         return {"kind": "catalog", "id": self.entry_id}

@@ -470,11 +470,23 @@ def point_to_json(p: Point):
     return [str(c) for c in p.coords]
 
 
+def rat_from_json(value) -> Fraction:
+    """A rational read from JSON: an int or a string such as "2/3".  A JSON
+    float has been rounded already and a boolean is no number, so both
+    are refused; a zero denominator raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"rationals are ints or 'p/q' strings, got {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+
+
 def point_from_json(obj) -> Point:
     coords, part = (obj["coords"], obj.get("part")) if isinstance(obj, dict) else (obj, None)
     if not isinstance(coords, (list, tuple)):
         raise TypeError(f"point coordinates must be a JSON array, got {coords!r}")
-    return Point(tuple(rat(c) for c in coords), part=part)
+    return Point(tuple(rat_from_json(c) for c in coords), part=part)
 
 
 def space_from_json(obj: dict) -> MixtureSpace:
@@ -482,7 +494,7 @@ def space_from_json(obj: dict) -> MixtureSpace:
     if kind == "simplex":
         return Simplex(int(obj["dim"]))
     if kind == "interval":
-        return RealInterval(rat(obj["lo"]), rat(obj["hi"]))
+        return RealInterval(rat_from_json(obj["lo"]), rat_from_json(obj["hi"]))
     if kind == "split":
         return SplitSpace()
     raise ValueError(f"unknown space kind: {kind!r}")

@@ -71,6 +71,7 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
     assert code == 2 and "error:" in err
     relation = {"kind": "multi_utility", "utilities": [["1", "0", "0"]]}
     unit = {"kind": "catalog", "id": "appx1"}
+    split = {"kind": "catalog", "id": "split_hm"}
     for name, raw in (
         ("scalar_points", {"relation": relation, "universe": {"points": [1, 2]}}),
         ("array", [relation]),
@@ -94,11 +95,53 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
         ("string_grid", {"relation": unit, "universe": {"points": [["0"]], "grid": "1"}}),
         ("string_points", {"relation": unit, "universe": {"points": "01"}}),
         ("string_point", {"relation": unit, "universe": {"points": ["0", "1"]}}),
+        # a zero denominator
+        ("rat_zero_den_point", {"relation": unit, "universe": {"points": [["1/0"]]}}),
+        ("rat_zero_den_split_point", {"relation": split, "universe": {
+            "points": [{"part": "B", "coords": ["1/0", "0"]}]}}),
+        ("rat_zero_den_utility", {"relation": {"kind": "multi_utility",
+                                               "utilities": [["1/0", "0", "1"]]}}),
+        ("rat_zero_den_space_lo", {"relation": unit, "space": {
+            "kind": "interval", "lo": "1/0", "hi": "1"}}),
+        ("rat_zero_den_space_hi", {"relation": unit, "space": {
+            "kind": "interval", "lo": "0", "hi": "1/0"}}),
+        # JSON floats and booleans are not rationals
+        ("rat_float_grid", {"relation": unit, "universe": {"points": [["0"]], "grid": [0.1]}}),
+        ("rat_bool_grid", {"relation": unit, "universe": {"points": [["0"]], "grid": [True]}}),
+        ("rat_float_point", {"relation": unit, "universe": {"points": [[0.5]]}}),
+        ("rat_bool_point", {"relation": unit, "universe": {"points": [[True]]}}),
+        ("rat_float_split_point", {"relation": split, "universe": {
+            "points": [{"part": "B", "coords": [0.5, "0"]}]}}),
+        ("rat_float_utility", {"relation": {"kind": "multi_utility",
+                                            "utilities": [[0.5, 0, 1]]}}),
+        ("rat_bool_utility", {"relation": {"kind": "multi_utility",
+                                           "utilities": [[True, 0, 1]]}}),
+        ("rat_float_space_hi", {"relation": unit, "space": {
+            "kind": "interval", "lo": "0", "hi": 1.0}}),
+        ("rat_bool_space_lo", {"relation": unit, "space": {
+            "kind": "interval", "lo": False, "hi": "1"}}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(raw))
         code, _, err = run_cli(capsys, "axioms", str(path))
         assert code == 2 and "error:" in err, name
+        if name.startswith("rat_"):
+            section = ("space descriptor" if "space" in name else
+                       "multi_utility descriptor" if "utility" in name else "universe")
+            assert f"error: bad {section}: " in err, name
+
+
+def test_int_and_string_rationals_are_read(tmp_path, capsys):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({
+        "relation": {"kind": "multi_utility", "utilities": [[2, "1/2", "0.25"]]},
+        "universe": {"points": [[1, 0, 0], ["0", "1/2", "0.5"]], "grid": [0, "1/3", 1]},
+    }))
+    code, out, _ = run_cli(capsys, "axioms", str(path), "--axiom", "complete", "--json")
+    assert code == 0
+    universe = json.loads(out)["model"]["universe"]
+    assert universe["points"] == [["1", "0", "0"], ["0", "1/2", "1/2"]]
+    assert universe["grid"] == ["0", "1/3", "1"]
 
 
 def test_empty_universe_exits_2(tmp_path, capsys):

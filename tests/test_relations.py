@@ -22,6 +22,7 @@ from prefcheck.relations import (
     SECTION_LABELS,
     ComparisonOutcome,
     Label,
+    CatalogPiecewise,
     LabeledPartition,
     MultiUtility,
     NotRepresentableError,
@@ -36,7 +37,7 @@ from prefcheck.relations import (
     flag_bit,
     section,
 )
-from prefcheck.spaces import CarrierError, Point, pt
+from prefcheck.spaces import CarrierError, Point, RealInterval, pt
 
 F = Fraction
 
@@ -386,3 +387,72 @@ def test_default_flag_row_kernel_reads_partitions():
     row = rel.segment_flag_rows(points)
     for i, j in product(range(len(points)), repeat=2):
         assert row(i, j) == [rel.segment(points[i], points[j], p).flags for p in points]
+
+
+INTERVAL_ENTRIES = [eid for eid in ENTRY_IDS
+                    if isinstance(load_entry(eid).space, RealInterval)]
+
+
+@pytest.mark.parametrize("entry_id", INTERVAL_ENTRIES)
+def test_interval_flag_row_kernel_matches_oracle(entry_id):
+    """On an interval carrier the row kernel reads every word off one full
+    segment per target; each must be the oracle's own word for the triple."""
+    rel = load_entry(entry_id).relation
+    points = AxiomEngine(rel, load_entry(entry_id).universe).points
+    row = rel.segment_flag_rows(points)
+    for i, j in product(range(len(points)), repeat=2):
+        want = [rel.classify_segment(points[i], points[j], z).flags for z in points]
+        assert row(i, j) == want, (i, j)
+        assert row(j, i) == want, (i, j)
+
+
+@st.composite
+def interval_oracles(draw):
+    """A random relation on a random interval [lo, hi]: thresholds cut the
+    values into classes (each threshold, each open gap between them), and
+    the label of x`lam`y against z is drawn per (class of z, class of the
+    mixture).  Returns the carrier, the oracle and some points."""
+    lo = draw(st.fractions(-2, 2, max_denominator=4))
+    width = draw(st.fractions(F(1, 4), 3, max_denominator=4))
+    hi = lo + width
+
+    def inside(max_denominator):
+        return st.fractions(0, 1, max_denominator=max_denominator).map(lambda f: lo + f * width)
+
+    cuts = sorted(set(draw(st.lists(inside(6), max_size=3))))
+    classes = 2 * len(cuts) + 1  # gap 0, cut 0, gap 1, ..., gap m
+    labels = draw(st.lists(
+        st.lists(st.sampled_from(list(Label)), min_size=classes, max_size=classes),
+        min_size=classes, max_size=classes,
+    ))
+
+    def value_class(v):
+        below = sum(1 for t in cuts if t < v)
+        return 2 * below + (1 if below < len(cuts) and cuts[below] == v else 0)
+
+    def oracle(x, y, z):
+        a, b = x.coords[0] - y.coords[0], y.coords[0]
+        regions = []
+        for k, t in enumerate(cuts):
+            regions.append(affine_le(a, b, t, strict=True) if k == 0 else iv.intersect(
+                affine_ge(a, b, cuts[k - 1], strict=True), affine_le(a, b, t, strict=True)))
+            regions.append(affine_eq(a, b, t))
+        regions.append(affine_ge(a, b, cuts[-1], strict=True) if cuts else FULL)
+        sections = {}
+        for label, region in zip(labels[value_class(z.coords[0])], regions):
+            sections[label] = union(sections.get(label, iv.EMPTY), region)
+        return assemble_partition(sections)
+
+    values = st.one_of(st.sampled_from([lo, hi, *cuts]), inside(8))
+    points = [pt(v) for v in draw(st.lists(values, min_size=1, max_size=6))]
+    return RealInterval(lo, hi), oracle, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(interval_oracles())
+def test_interval_flag_row_kernel_matches_reference(case):
+    space, oracle, points = case
+    rel = CatalogPiecewise("random", space, None, oracle)
+    row = rel.segment_flag_rows(points)
+    for i, j in product(range(len(points)), repeat=2):
+        assert row(i, j) == [oracle(points[i], points[j], z).flags for z in points]

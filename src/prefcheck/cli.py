@@ -85,8 +85,10 @@ def load_model(path: str, grid_override=None, depth_override=None):
         space, relation, universe = entry.space, entry.relation, entry.universe
     elif kind == "multi_utility":
         try:
-            relation = MultiUtility([[rat_from_json(v) for v in row]
-                                     for row in rel_desc["utilities"]])
+            rows = rel_desc["utilities"]
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise TypeError(f"utilities must be a JSON array of JSON arrays, got {rows!r}")
+            relation = MultiUtility([[rat_from_json(v) for v in row] for row in rows])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"bad multi_utility descriptor: {exc}")
         space = relation.space

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import sub
+from operator import add, sub
 from typing import Callable, Optional, Sequence
 
 from . import intervals as iv
@@ -458,24 +458,51 @@ class MultiUtility(RelationModel):
         return _shape_flags(tuple(tags for _, _, tags in self._cuts(x, y, z)))
 
     def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
-        # Every point's utilities over one common denominator d: the i-th
-        # utility of x`lam`y minus that of z is then (a*lam + b) / d with
-        # a = D[x] - D[y] and b = D[y] - D[z], the same cuts as `_cuts`.
+        # Every point's utilities over one common denominator d: the u-th
+        # utility of x`lam`y minus that of z is then g_u(lam) = (a*lam + b) / d
+        # with a = D[x] - D[y] and b = D[y] - D[z], the same cuts as `_cuts`.
         den = lcm(*(c.denominator for p in points for c in p.coords))
         dots = [
             tuple(sum(u * c.numerator * (den // c.denominator)
                       for u, c in zip(row, p.coords)) for row in self._rows)
             for p in points
         ]
+        # The sign code of points (i, k): one base-3 digit per utility,
+        # 1 + sign(D[i] - D[k]).  Target k of row (i, j) is keyed by the codes
+        # of (i, k) and (j, k), the signs of every g_u at lam = 1 and lam = 0.
+        # Those fix where each g_u is positive, zero or negative on [0, 1],
+        # up to where it crosses zero inside (0, 1), which it does only when
+        # the two signs are strictly opposite.  With at most one such
+        # utility, every ge and le end lies in {0, t, 1}, in a fixed order:
+        # the cut tags, and so the flag word, are a function of the key.
+        # With two or more, the order of their crossings matters, so those
+        # keys map to None and each of their triples is cut exactly.
+        codes = [[sum((1 + (vi > vk) - (vi < vk)) * 3 ** u
+                      for u, (vi, vk) in enumerate(zip(di, dk))) for dk in dots]
+                 for di in dots]
+        scale = 3 ** len(self._rows)
+        high = [[c * scale for c in code] for code in codes]
+        memo: dict[int, Optional[int]] = {}
 
         def row(i: int, j: int) -> list:
             di, dj = dots[i], dots[j]
             a = [vi - vj for vi, vj in zip(di, dj)]
-            out = []
-            for dk in dots:
+            keys = list(map(add, high[i], codes[j]))
+            out = list(map(memo.get, keys))
+            for k, word in enumerate(out):
+                if word is not None:
+                    continue
+                dk = dots[k]
                 shape = tuple([cut[2] for cut in _integer_cuts(zip(a, map(sub, dj, dk)))])
-                got = _SHAPE_FLAGS.get(shape)
-                out.append(_shape_flags(shape) if got is None else got)
+                word = _SHAPE_FLAGS.get(shape)
+                if word is None:
+                    word = _shape_flags(shape)
+                out[k] = word
+                key = keys[k]
+                if key not in memo:
+                    crossings = sum((vi - vk) * (vj - vk) < 0
+                                    for vi, vj, vk in zip(di, dj, dk))
+                    memo[key] = word if crossings < 2 else None
             return out
 
         return row

@@ -492,7 +492,10 @@ def point_from_json(obj) -> Point:
 def space_from_json(obj: dict) -> MixtureSpace:
     kind = obj.get("kind")
     if kind == "simplex":
-        return Simplex(int(obj["dim"]))
+        dim = obj["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"simplex dim must be a JSON integer >= 1, got {dim!r}")
+        return Simplex(dim)
     if kind == "interval":
         return RealInterval(rat_from_json(obj["lo"]), rat_from_json(obj["hi"]))
     if kind == "split":

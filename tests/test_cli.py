@@ -120,6 +120,14 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
             "kind": "interval", "lo": "0", "hi": 1.0}}),
         ("rat_bool_space_lo", {"relation": unit, "space": {
             "kind": "interval", "lo": False, "hi": "1"}}),
+        # utility rows are arrays, a simplex dim is a JSON integer >= 1
+        ("string_utility_rows", {"relation": {"kind": "multi_utility",
+                                              "utilities": ["210", "013"]}}),
+        ("string_utilities", {"relation": {"kind": "multi_utility", "utilities": "210"}}),
+        ("float_dim", {"relation": relation, "space": {"kind": "simplex", "dim": 3.7}}),
+        ("string_dim", {"relation": relation, "space": {"kind": "simplex", "dim": "3"}}),
+        ("bool_dim", {"relation": relation, "space": {"kind": "simplex", "dim": True}}),
+        ("zero_dim", {"relation": relation, "space": {"kind": "simplex", "dim": 0}}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(raw))
@@ -129,6 +137,10 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
             section = ("space descriptor" if "space" in name else
                        "multi_utility descriptor" if "utility" in name else "universe")
             assert f"error: bad {section}: " in err, name
+        if name.startswith("string_utilit"):
+            assert "error: bad multi_utility descriptor: " in err, name
+        if name.endswith("_dim"):
+            assert "error: bad space descriptor: " in err, name
 
 
 def test_int_and_string_rationals_are_read(tmp_path, capsys):

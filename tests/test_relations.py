@@ -37,7 +37,7 @@ from prefcheck.relations import (
     flag_bit,
     section,
 )
-from prefcheck.spaces import CarrierError, Point, RealInterval, pt
+from prefcheck.spaces import CarrierError, Point, RealInterval, augment_points, pt
 
 F = Fraction
 
@@ -315,12 +315,19 @@ def simplex_points(draw, n):
 
 
 @st.composite
-def oracle_cases(draw):
-    n = draw(st.integers(2, 4))
+def utility_rows(draw, n):
+    """One to three utility vectors of length n, one of them zero at times."""
     entries = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=3))
     if draw(st.booleans()):
         rows[draw(st.integers(0, len(rows) - 1))] = [0] * n
+    return rows
+
+
+@st.composite
+def oracle_cases(draw):
+    n = draw(st.integers(2, 4))
+    rows = draw(utility_rows(n))
     x, y, z = (draw(simplex_points(n)) for _ in range(3))
     shape = draw(st.sampled_from(["distinct", "x==y", "z==x", "z==y", "all equal"]))
     if shape in ("x==y", "all equal"):
@@ -365,19 +372,41 @@ def test_integer_oracle_matches_reference(case):
     )
 
 
+def _assert_rows_match_segment_flags(rel, points):
+    """Every row (i, j) and (j, i) of the kernel is `segment_flags` per target."""
+    row = rel.segment_flag_rows(points)
+    for i, j in product(range(len(points)), repeat=2):
+        want = [rel.segment_flags(points[i], points[j], p) for p in points]
+        assert row(i, j) == want, (i, j)
+        assert row(j, i) == want, (j, i)
+
+
+@st.composite
+def flag_row_cases(draw):
+    n = draw(st.integers(2, 4))
+    return draw(utility_rows(n)), draw(st.lists(simplex_points(n), min_size=4, max_size=7))
+
+
 @settings(max_examples=400, deadline=None)
-@given(oracle_cases())
+@given(flag_row_cases())
 def test_flag_row_kernel_matches_segment_flags(case):
     """The multi-utility row kernel, over one common denominator, gives
-    `segment_flags` for every target, and row (i, j) equals row (j, i)."""
-    rows, x, y, z = case
-    rel = MultiUtility(rows)
-    points = (x, y, z)
-    row = rel.segment_flag_rows(points)
-    for i, j in product(range(3), repeat=2):
-        want = [rel.segment_flags(points[i], points[j], p) for p in points]
-        assert row(i, j) == want
-        assert row(j, i) == want
+    `segment_flags` for every target, and row (i, j) equals row (j, i).
+    With several points, sign-code keys recur across rows and targets, so
+    memoised words are read back, and keys where two utilities cross
+    inside (0, 1) occur."""
+    rows, points = case
+    _assert_rows_match_segment_flags(MultiUtility(rows), points)
+
+
+def test_flag_row_kernel_on_pareto2_closure():
+    """The first 40 points of the depth-2 closure under the `pareto2`
+    utilities: many keys with two interior crossings, whose words differ
+    from triple to triple and so must never be memoised."""
+    entry = load_entry("pareto2")
+    universe = entry.universe
+    points = augment_points(entry.space, universe.points, universe.grid, depth=2)[:40]
+    _assert_rows_match_segment_flags(MultiUtility(entry.relation.utilities), points)
 
 
 def test_default_flag_row_kernel_reads_partitions():

@@ -1,14 +1,16 @@
 """Command-line front end: axiom checks, theorem harnesses, representations,
 the built-in catalog, and a randomized soundness sentinel, over JSON models.
 
-Exit codes: 0 success, 1 mismatch/violation/verification failure, 2 input
-error.  JSON reports are deterministic (sorted keys, no timing fields).
+Exit codes: 0 success, 1 mismatch/violation/verification failure or a
+report that could not be written (stdout closed), 2 input error.  JSON
+reports are deterministic (sorted keys, no timing fields).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -395,10 +397,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout, so the report could not be written;
+        # point stdout at devnull so that the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,9 +11,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import add, sub
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import intervals as iv
 from .intervals import EMPTY, FULL, Interval, SectionSet
@@ -279,20 +280,15 @@ class RelationModel:
             self._segment_cache[key] = got
         return got
 
-    def segment_flags(self, x: Point, y: Point, z: Point) -> int:
-        """Flag word of the partition for (x, y, z), not cached here; a
-        relation that can decide it without the partition overrides this."""
-        return self.segment(x, y, z).flags
-
     def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
         """A function of point numbers (i, j) giving the flag words of
         (points[i], points[j], z) for every z in `points`, in order; a
         relation that can share work across a row overrides this."""
-        flags = self.segment_flags
+        segment = self.segment
 
         def row(i: int, j: int) -> list:
             x, y = points[i], points[j]
-            return [flags(x, y, z) for z in points]
+            return [segment(x, y, z).flags for z in points]
 
         return row
 
@@ -389,13 +385,15 @@ def _elementary_labels(pieces) -> tuple[list, tuple]:
     return weights, tuple(labels)
 
 
-def _shape_flags(shape: tuple[int, ...]) -> int:
-    """Flag word of the partition whose cuts carry the tags `shape`, in order.
+def _cut_word(a: Iterable[int], b: Iterable[int]) -> int:
+    """Flag word of the partition cut by the integer gaps a[u]*lam + b[u].
 
     Every flag bit is topological: it depends on the order of the cuts and
-    their tags, not on where they fall.  So a new shape is classified once,
-    over the cuts k/m, by the same walk `classify_segment` takes.
+    their tags, not on where they fall.  So a new shape (the tags of the
+    cuts, in order) is classified once, over the cuts k/m, by the same walk
+    `classify_segment` takes.
     """
+    shape = tuple([cut[2] for cut in _integer_cuts(zip(a, b))])
     got = _SHAPE_FLAGS.get(shape)
     if got is None:
         m = len(shape) - 1
@@ -454,9 +452,6 @@ class MultiUtility(RelationModel):
     def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
         return LabeledPartition(self._runs(self._cuts(x, y, z)))
 
-    def segment_flags(self, x: Point, y: Point, z: Point) -> int:
-        return _shape_flags(tuple(tags for _, _, tags in self._cuts(x, y, z)))
-
     def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
         # Every point's utilities over one common denominator d: the u-th
         # utility of x`lam`y minus that of z is then g_u(lam) = (a*lam + b) / d
@@ -475,34 +470,58 @@ class MultiUtility(RelationModel):
         # the two signs are strictly opposite.  With at most one such
         # utility, every ge and le end lies in {0, t, 1}, in a fixed order:
         # the cut tags, and so the flag word, are a function of the key.
-        # With two or more, the order of their crossings matters, so those
-        # keys map to None and each of their triples is cut exactly.
-        codes = [[sum((1 + (vi > vk) - (vi < vk)) * 3 ** u
-                      for u, (vi, vk) in enumerate(zip(di, dk))) for dk in dots]
-                 for di in dots]
+        columns = list(zip(*dots))
+        codes = []
+        for di in dots:
+            code = [0] * len(dots)
+            for u, (vi, column) in enumerate(zip(di, columns)):
+                w = 3 ** u
+                code = [c + w * (1 + (vi > vk) - (vi < vk)) for c, vk in zip(code, column)]
+            codes.append(code)
         scale = 3 ** len(self._rows)
         high = [[c * scale for c in code] for code in codes]
-        memo: dict[int, Optional[int]] = {}
+        memo: dict[int, int] = {}
+        # With two or more, say u and v, the order of their crossings
+        # t_u = -b_u / a_u matters.  Such a key maps to its crossing pairs
+        # (u, v) instead, and its targets get one more digit per pair,
+        # sign(b_u * a_v - b_v * a_u) = sign(a_u * a_v) * sign(t_v - t_u).
+        # The key fixes sign(a_u * a_v), so the digits fix the order of all
+        # interior crossings, ties included, and so every ge and le end's
+        # place among {0, crossings, 1}: the word is a function of the key
+        # and its digits.  The digits are read in balanced base 3, which is
+        # injective since the key fixes how many pairs there are.
+        crossing_pairs: dict[int, tuple] = {}
+        ordered: dict[tuple[int, int], int] = {}
 
         def row(i: int, j: int) -> list:
-            di, dj = dots[i], dots[j]
-            a = [vi - vj for vi, vj in zip(di, dj)]
+            dj = dots[j]
+            a = list(map(sub, dots[i], dj))
             keys = list(map(add, high[i], codes[j]))
             out = list(map(memo.get, keys))
             for k, word in enumerate(out):
                 if word is not None:
                     continue
-                dk = dots[k]
-                shape = tuple([cut[2] for cut in _integer_cuts(zip(a, map(sub, dj, dk)))])
-                word = _SHAPE_FLAGS.get(shape)
-                if word is None:
-                    word = _shape_flags(shape)
+                key, dk = keys[k], dots[k]
+                pairs = crossing_pairs.get(key)
+                if pairs is None:
+                    word = memo.get(key)  # a first miss earlier in this row
+                    if word is None:
+                        b = list(map(sub, dj, dk))
+                        crossing = [u for u, (au, bu) in enumerate(zip(a, b))
+                                    if (au + bu) * bu < 0]
+                        if len(crossing) < 2:
+                            word = memo[key] = _cut_word(a, b)
+                        else:
+                            pairs = crossing_pairs[key] = tuple(combinations(crossing, 2))
+                if pairs is not None:
+                    digits = 0
+                    for u, v in pairs:
+                        d = (dj[u] - dk[u]) * a[v] - (dj[v] - dk[v]) * a[u]
+                        digits = 3 * digits + (d > 0) - (d < 0)
+                    word = ordered.get((key, digits))
+                    if word is None:
+                        word = ordered[key, digits] = _cut_word(a, map(sub, dj, dk))
                 out[k] = word
-                key = keys[k]
-                if key not in memo:
-                    crossings = sum((vi - vk) * (vj - vk) < 0
-                                    for vi, vj, vk in zip(di, dj, dk))
-                    memo[key] = word if crossings < 2 else None
             return out
 
         return row

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prefcheck
 from prefcheck.axioms import AxiomEngine
 from prefcheck.cli import main
 
@@ -268,6 +273,21 @@ def test_catalog_subcommand(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "catalog", "--entry", "no_such")
     assert code == 2
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    """A reader that closes the pipe (`prefcheck ... | head -c 10`) leaves
+    the report unwritten: exit 1, and nothing on stderr."""
+    model = catalog_model(tmp_path, "eu3")
+    env = {**os.environ, "PYTHONPATH": str(Path(prefcheck.__file__).parent.parent)}
+    for argv in (["axioms", model, "--json"], ["catalog", "--entry", "appx2"]):
+        proc = subprocess.Popen([sys.executable, "-m", "prefcheck.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # before the child can have written anything
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1, argv
+        assert err == b"", (argv, err)
 
 
 def test_json_reports_are_byte_identical(tmp_path, capsys):

@@ -37,7 +37,7 @@ from prefcheck.relations import (
     flag_bit,
     section,
 )
-from prefcheck.spaces import CarrierError, Point, RealInterval, augment_points, pt
+from prefcheck.spaces import CarrierError, Point, RealInterval, Simplex, augment_points, pt
 
 F = Fraction
 
@@ -363,20 +363,22 @@ def test_integer_oracle_matches_reference(case):
     want = _reference_partition(rows, x, y, z)
     assert got.pieces == want.pieces
     assert got.flags == want.flags
-    # the flag word read from the cut shape alone, for the triple and its mirror
-    assert rel.segment_flags(x, y, z) == got.flags
-    assert rel.segment_flags(y, x, z) == rel.classify_segment(y, x, z).flags
+    # the row kernel's word, for the triple and its mirror
+    row = rel.segment_flag_rows([x, y, z])
+    assert row(0, 1)[2] == got.flags
+    assert row(1, 0)[2] == rel.classify_segment(y, x, z).flags
     dx, dy = ([sum(F(a) * c for a, c in zip(u, p.coords)) for u in rows] for p in (x, y))
     assert rel.compare(x, y) is ComparisonOutcome.from_weak(
         all(a >= b for a, b in zip(dx, dy)), all(b >= a for a, b in zip(dx, dy))
     )
 
 
-def _assert_rows_match_segment_flags(rel, points):
-    """Every row (i, j) and (j, i) of the kernel is `segment_flags` per target."""
+def _assert_rows_match_classify_segment(rel, points):
+    """Every row (i, j) and (j, i) of the kernel is the flag word of
+    `classify_segment` per target."""
     row = rel.segment_flag_rows(points)
     for i, j in product(range(len(points)), repeat=2):
-        want = [rel.segment_flags(points[i], points[j], p) for p in points]
+        want = [rel.classify_segment(points[i], points[j], p).flags for p in points]
         assert row(i, j) == want, (i, j)
         assert row(j, i) == want, (j, i)
 
@@ -391,22 +393,56 @@ def flag_row_cases(draw):
 @given(flag_row_cases())
 def test_flag_row_kernel_matches_segment_flags(case):
     """The multi-utility row kernel, over one common denominator, gives
-    `segment_flags` for every target, and row (i, j) equals row (j, i).
-    With several points, sign-code keys recur across rows and targets, so
-    memoised words are read back, and keys where two utilities cross
-    inside (0, 1) occur."""
+    the word of `classify_segment` for every target, and row (i, j) equals
+    row (j, i).  With several points, sign-code keys recur across rows and
+    targets, so memoised words are read back, and keys where two utilities
+    cross inside (0, 1) occur."""
     rows, points = case
-    _assert_rows_match_segment_flags(MultiUtility(rows), points)
+    _assert_rows_match_classify_segment(MultiUtility(rows), points)
+
+
+_TRIANGLE_CLOSURE = augment_points(
+    Simplex(3), [pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)], (F(1, 2),), depth=2
+)
+
+
+@st.composite
+def coinciding_crossing_cases(draw):
+    """Utility rows that are positive combinations of one or two base rows,
+    over points of a grid closure: a row and its positive multiple cross
+    zero at the same weight, and grid points put the crossings of other
+    rows on shared weights too."""
+    coefficient = st.integers(-3, 3)
+    bases = draw(st.lists(st.lists(coefficient, min_size=3, max_size=3),
+                          min_size=1, max_size=2))
+    weights = st.lists(st.integers(0, 3), min_size=len(bases), max_size=len(bases))
+    rows = []
+    for _ in range(draw(st.integers(2, 4))):
+        w = draw(weights.filter(any))
+        rows.append([sum(c * b[t] for c, b in zip(w, bases)) for t in range(3)])
+    points = draw(st.lists(st.sampled_from(_TRIANGLE_CLOSURE), min_size=4, max_size=8,
+                           unique=True))
+    return rows, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(coinciding_crossing_cases())
+def test_flag_row_kernel_with_coinciding_crossings(case):
+    """Keys whose interior crossings tie get their own extended keys: the
+    kernel still gives the word of `classify_segment` on every row."""
+    rows, points = case
+    _assert_rows_match_classify_segment(MultiUtility(rows), points)
 
 
 def test_flag_row_kernel_on_pareto2_closure():
     """The first 40 points of the depth-2 closure under the `pareto2`
     utilities: many keys with two interior crossings, whose words differ
-    from triple to triple and so must never be memoised."""
+    with the order of those crossings, so the kernel reads them by the
+    key and its crossing-order digits."""
     entry = load_entry("pareto2")
     universe = entry.universe
     points = augment_points(entry.space, universe.points, universe.grid, depth=2)[:40]
-    _assert_rows_match_segment_flags(MultiUtility(entry.relation.utilities), points)
+    _assert_rows_match_classify_segment(MultiUtility(entry.relation.utilities), points)
 
 
 def test_default_flag_row_kernel_reads_partitions():

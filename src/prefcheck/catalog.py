@@ -216,25 +216,17 @@ def _flimsy_compare(u: Point, v: Point) -> ComparisonOutcome:
     return BETTER if bu > bv else WORSE
 
 
-@lru_cache(maxsize=None)
-def _flimsy_partition(a: Fraction, b: Fraction, z_key) -> LabeledPartition:
-    low = affine_le(a, b, F(1), strict=True)
-    high = affine_ge(a, b, F(2), strict=True)
-    kind, value = z_key
-    if kind == "block":
-        if value == 0:
-            return _partition(eq=low, above=high)
-        return _partition(eq=high, below=low)
-    return _partition(eq=affine_eq(a, b, value))
-
-
 def _flimsy_segment(x: Point, y: Point, z: Point) -> LabeledPartition:
     a, b = _affine(x, y)
-    zb = _flimsy_block(z.coords[0])
-    # the partition depends only on the segment and z's block (or z itself
-    # inside the incomparable middle band)
-    key = ("block", zb) if zb != 1 else ("point", z.coords[0])
-    return _flimsy_partition(a, b, key)
+    z0 = z.coords[0]
+    zb = _flimsy_block(z0)
+    if zb == 1:  # the incomparable middle band: indifferent to z alone
+        return _partition(eq=affine_eq(a, b, z0))
+    low = affine_le(a, b, F(1), strict=True)
+    high = affine_ge(a, b, F(2), strict=True)
+    if zb == 0:
+        return _partition(eq=low, above=high)
+    return _partition(eq=high, below=low)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +290,13 @@ def _star_segment(x: Point, y: Point, z: Point) -> LabeledPartition:
 
 
 def _split_value(p: Point) -> Fraction:
+    """The ranking v: a B point's coordinate, 0 on the A arm.
+
+    `SplitSpace.mix` keeps v mixture-affine.  Within an arm the mix is
+    convex; a`lam`b is B((1-lam)*s_b), or a at lam = 1; b`lam`a is
+    B(lam*s_b), or a at lam = 0; and a B mixture that lands on coordinate
+    0 is the A origin, where v = 0.
+    """
     return p.coords[0] if p.part == "B" else iv.ZERO
 
 
@@ -306,18 +305,10 @@ def _split_compare(u: Point, v: Point) -> ComparisonOutcome:
     return ComparisonOutcome.from_weak(vu >= vv, vv >= vu)
 
 
-def _split_value_affine(x: Point, y: Point) -> tuple[Fraction, Fraction]:
-    vx, vy = _split_value(x), _split_value(y)
-    if x.part == "A" and y.part == "B":
-        return -vy, vy
-    if x.part == "B" and y.part == "A":
-        return vx, iv.ZERO
-    return vx - vy, vy
-
-
 def _split_segment(x: Point, y: Point, z: Point) -> LabeledPartition:
-    a, b = _split_value_affine(x, y)
-    c = _split_value(z)
+    # v(x`lam`y) = a*lam + b, since v is mixture-affine
+    vx, vy = _split_value(x), _split_value(y)
+    a, b, c = vx - vy, vy, _split_value(z)
     return _partition(
         above=affine_ge(a, b, c, strict=True),
         eq=affine_eq(a, b, c),
@@ -564,7 +555,8 @@ def _build_star_cvx() -> CatalogEntry:
 
 def _build_split_hm() -> CatalogEntry:
     space = SplitSpace()
-    rel = CatalogPiecewise("split_hm", space, _split_compare, _split_segment)
+    rel = CatalogPiecewise("split_hm", space, _split_compare, _split_segment,
+                           ranking=_split_value)
     expect = dict(_ORDER_BASE)
     expect.update({
         "complete": _H, "nontrivial": _H, "negatively_transitive": _H,

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .axioms import ALL_AXIOMS, AxiomEngine, Universe
 from .catalog import UnknownEntryError, load_entry, run_catalog
-from .generate import fuzz_corpus, soundness_violations
+from .generate import env_seed, fuzz_corpus, soundness_violations
 from .relations import MultiUtility
 from .representation import (
     CalibrationError,
@@ -28,6 +28,7 @@ from .representation import (
 )
 from .spaces import (
     DEFAULT_GRID,
+    QuotientError,
     point_from_json,
     point_to_json,
     quotient,
@@ -158,7 +159,10 @@ def load_model(path: str, grid_override=None, depth_override=None):
 
 
 def _apply_quotient(space, relation, universe):
-    qspace, qrel = quotient(space, relation, universe.points, universe.grid)
+    try:
+        qspace, qrel = quotient(space, relation, universe.points, universe.grid)
+    except QuotientError as exc:
+        raise ModelError(f"cannot quotient: {exc}")
     quniverse = Universe(qspace.representatives, universe.closure_depth, universe.grid)
     return qspace, qrel, quniverse
 
@@ -312,7 +316,10 @@ def cmd_catalog(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.count < 0:
         raise ModelError(f"--count must be non-negative, got {args.count}")
-    rng_seed = args.seed if args.seed is not None else None
+    try:
+        rng_seed = args.seed if args.seed is not None else env_seed()
+    except ValueError as exc:
+        raise ModelError(str(exc))
     violations = []
     checked = 0
     for name, rel, universe in fuzz_corpus(args.count, rng_seed):

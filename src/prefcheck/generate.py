@@ -27,10 +27,20 @@ DEFAULT_SEED = 20260808
 ENRICH_GRID = (F(1, 2),)
 
 
+def env_seed() -> int:
+    """The seed in PREFCHECK_SEED, or DEFAULT_SEED when it is unset; a value
+    that is not an integer raises ValueError naming the variable."""
+    raw = os.environ.get("PREFCHECK_SEED")
+    if raw is None:
+        return DEFAULT_SEED
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"PREFCHECK_SEED must be an integer, got {raw!r}") from None
+
+
 def seeded_rng(seed: Optional[int] = None) -> random.Random:
-    if seed is None:
-        seed = int(os.environ.get("PREFCHECK_SEED", DEFAULT_SEED))
-    return random.Random(seed)
+    return random.Random(env_seed() if seed is None else seed)
 
 
 def random_utilities(rng: random.Random, n_coords: int, n_utils: int,

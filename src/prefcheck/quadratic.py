@@ -10,25 +10,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spaces import MixtureSpace, Point
-
-
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
+from .spaces import MixtureSpace, Point, mix_coords
 
 
 def quad_sign(a: Fraction, b: Fraction) -> int:
-    """Sign of a + b*sqrt(2), decided by comparing squares."""
-    if b == 0:
-        return _sign(a)
-    if a == 0:
-        return _sign(b)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    s = _sign(a * a - 2 * b * b)  # never 0: sqrt(2) is irrational
-    return s if a > 0 else -s
+    """Sign of a + b*sqrt(2), read from the numerators.
+
+    Where the signs of a and b differ, the term of larger square wins:
+    a*a > 2*b*b is decided on integers cross-multiplied by the squared
+    denominators, and is never a tie since sqrt(2) is irrational.
+    """
+    m, n = a.numerator, b.numerator
+    sa = (m > 0) - (m < 0)
+    if n == 0:
+        return sa
+    sb = (n > 0) - (n < 0)
+    if sa == 0 or sa == sb:
+        return sb
+    m *= b.denominator
+    n *= a.denominator
+    return sa if m * m > 2 * n * n else sb
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,9 @@ class QuadRat:
     __rmul__ = __mul__
 
     def _cmp(self, other) -> int:
-        return (self - QuadRat.of(other)).sign()
+        if isinstance(other, QuadRat):
+            return quad_sign(self.a - other.a, self.b - other.b)
+        return quad_sign(self.a - other, self.b)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -116,14 +119,14 @@ class RootTwoUnitInterval(MixtureSpace):
     def contains(self, p: Point) -> bool:
         if p.part is not None or len(p.coords) != 2:
             return False
-        v = point_value(p)
-        return v.sign() >= 0 and (v - 1).sign() <= 0
+        a, b = p.coords
+        return quad_sign(a, b) >= 0 and quad_sign(a - 1, b) <= 0
 
     def mix(self, x: Point, lam, y: Point) -> Point:
         if isinstance(lam, QuadRat):
             v = lam * point_value(x) + (1 - lam) * point_value(y)
             return Point((v.a, v.b))
-        return Point(tuple(lam * a + (1 - lam) * b for a, b in zip(x.coords, y.coords)))
+        return Point(mix_coords(lam, x.coords, y.coords))
 
     def descriptor(self) -> dict:
         return {"kind": "root2_interval"}

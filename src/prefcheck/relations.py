@@ -402,6 +402,80 @@ def _cut_word(a: Iterable[int], b: Iterable[int]) -> int:
     return got
 
 
+def _sign_code_rows(dots: Sequence[tuple[int, ...]]) -> Callable[[int, int], list]:
+    """The flag-row kernel over integer utility columns: dots[p][u] = D[p][u]
+    is the u-th utility of point number p, all over one denominator d > 0.
+
+    The u-th utility of x`lam`y minus that of z is g_u(lam) = (a*lam + b) / d
+    with a = D[x] - D[y] and b = D[y] - D[z], so the word of (x, y, z) is
+    `_cut_word(a, b)`.  `row(i, j)` gives the words of (i, j, k) for every k,
+    read through keys that recur across rows.
+    """
+    # The sign code of points (i, k): one base-3 digit per utility,
+    # 1 + sign(D[i] - D[k]).  Target k of row (i, j) is keyed by the codes
+    # of (i, k) and (j, k), the signs of every g_u at lam = 1 and lam = 0.
+    # Those fix where each g_u is positive, zero or negative on [0, 1],
+    # up to where it crosses zero inside (0, 1), which it does only when
+    # the two signs are strictly opposite.  With at most one such
+    # utility, every ge and le end lies in {0, t, 1}, in a fixed order:
+    # the cut tags, and so the flag word, are a function of the key.
+    columns = list(zip(*dots))
+    codes = []
+    for di in dots:
+        code = [0] * len(dots)
+        for u, (vi, column) in enumerate(zip(di, columns)):
+            w = 3 ** u
+            code = [c + w * (1 + (vi > vk) - (vi < vk)) for c, vk in zip(code, column)]
+        codes.append(code)
+    scale = 3 ** len(columns)
+    high = [[c * scale for c in code] for code in codes]
+    memo: dict[int, int] = {}
+    # With two or more, say u and v, the order of their crossings
+    # t_u = -b_u / a_u matters.  Such a key maps to its crossing pairs
+    # (u, v) instead, and its targets get one more digit per pair,
+    # sign(b_u * a_v - b_v * a_u) = sign(a_u * a_v) * sign(t_v - t_u).
+    # The key fixes sign(a_u * a_v), so the digits fix the order of all
+    # interior crossings, ties included, and so every ge and le end's
+    # place among {0, crossings, 1}: the word is a function of the key
+    # and its digits.  The digits are read in balanced base 3, which is
+    # injective since the key fixes how many pairs there are.
+    crossing_pairs: dict[int, tuple] = {}
+    ordered: dict[tuple[int, int], int] = {}
+
+    def row(i: int, j: int) -> list:
+        dj = dots[j]
+        a = list(map(sub, dots[i], dj))
+        keys = list(map(add, high[i], codes[j]))
+        out = list(map(memo.get, keys))
+        for k, word in enumerate(out):
+            if word is not None:
+                continue
+            key, dk = keys[k], dots[k]
+            pairs = crossing_pairs.get(key)
+            if pairs is None:
+                word = memo.get(key)  # a first miss earlier in this row
+                if word is None:
+                    b = list(map(sub, dj, dk))
+                    crossing = [u for u, (au, bu) in enumerate(zip(a, b))
+                                if (au + bu) * bu < 0]
+                    if len(crossing) < 2:
+                        word = memo[key] = _cut_word(a, b)
+                    else:
+                        pairs = crossing_pairs[key] = tuple(combinations(crossing, 2))
+            if pairs is not None:
+                digits = 0
+                for u, v in pairs:
+                    d = (dj[u] - dk[u]) * a[v] - (dj[v] - dk[v]) * a[u]
+                    digits = 3 * digits + (d > 0) - (d < 0)
+                word = ordered.get((key, digits))
+                if word is None:
+                    word = ordered[key, digits] = _cut_word(a, map(sub, dj, dk))
+            out[k] = word
+        return out
+
+    return row
+
+
 _PAIR_LABEL = {
     (True, True): Label.INDIFFERENT,
     (True, False): Label.STRICT_ABOVE,
@@ -453,78 +527,12 @@ class MultiUtility(RelationModel):
         return LabeledPartition(self._runs(self._cuts(x, y, z)))
 
     def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
-        # Every point's utilities over one common denominator d: the u-th
-        # utility of x`lam`y minus that of z is then g_u(lam) = (a*lam + b) / d
-        # with a = D[x] - D[y] and b = D[y] - D[z], the same cuts as `_cuts`.
         den = lcm(*(c.denominator for p in points for c in p.coords))
-        dots = [
+        return _sign_code_rows([
             tuple(sum(u * c.numerator * (den // c.denominator)
                       for u, c in zip(row, p.coords)) for row in self._rows)
             for p in points
-        ]
-        # The sign code of points (i, k): one base-3 digit per utility,
-        # 1 + sign(D[i] - D[k]).  Target k of row (i, j) is keyed by the codes
-        # of (i, k) and (j, k), the signs of every g_u at lam = 1 and lam = 0.
-        # Those fix where each g_u is positive, zero or negative on [0, 1],
-        # up to where it crosses zero inside (0, 1), which it does only when
-        # the two signs are strictly opposite.  With at most one such
-        # utility, every ge and le end lies in {0, t, 1}, in a fixed order:
-        # the cut tags, and so the flag word, are a function of the key.
-        columns = list(zip(*dots))
-        codes = []
-        for di in dots:
-            code = [0] * len(dots)
-            for u, (vi, column) in enumerate(zip(di, columns)):
-                w = 3 ** u
-                code = [c + w * (1 + (vi > vk) - (vi < vk)) for c, vk in zip(code, column)]
-            codes.append(code)
-        scale = 3 ** len(self._rows)
-        high = [[c * scale for c in code] for code in codes]
-        memo: dict[int, int] = {}
-        # With two or more, say u and v, the order of their crossings
-        # t_u = -b_u / a_u matters.  Such a key maps to its crossing pairs
-        # (u, v) instead, and its targets get one more digit per pair,
-        # sign(b_u * a_v - b_v * a_u) = sign(a_u * a_v) * sign(t_v - t_u).
-        # The key fixes sign(a_u * a_v), so the digits fix the order of all
-        # interior crossings, ties included, and so every ge and le end's
-        # place among {0, crossings, 1}: the word is a function of the key
-        # and its digits.  The digits are read in balanced base 3, which is
-        # injective since the key fixes how many pairs there are.
-        crossing_pairs: dict[int, tuple] = {}
-        ordered: dict[tuple[int, int], int] = {}
-
-        def row(i: int, j: int) -> list:
-            dj = dots[j]
-            a = list(map(sub, dots[i], dj))
-            keys = list(map(add, high[i], codes[j]))
-            out = list(map(memo.get, keys))
-            for k, word in enumerate(out):
-                if word is not None:
-                    continue
-                key, dk = keys[k], dots[k]
-                pairs = crossing_pairs.get(key)
-                if pairs is None:
-                    word = memo.get(key)  # a first miss earlier in this row
-                    if word is None:
-                        b = list(map(sub, dj, dk))
-                        crossing = [u for u, (au, bu) in enumerate(zip(a, b))
-                                    if (au + bu) * bu < 0]
-                        if len(crossing) < 2:
-                            word = memo[key] = _cut_word(a, b)
-                        else:
-                            pairs = crossing_pairs[key] = tuple(combinations(crossing, 2))
-                if pairs is not None:
-                    digits = 0
-                    for u, v in pairs:
-                        d = (dj[u] - dk[u]) * a[v] - (dj[v] - dk[v]) * a[u]
-                        digits = 3 * digits + (d > 0) - (d < 0)
-                    word = ordered.get((key, digits))
-                    if word is None:
-                        word = ordered[key, digits] = _cut_word(a, map(sub, dj, dk))
-                out[k] = word
-            return out
-
-        return row
+        ])
 
     @staticmethod
     def _runs(cuts: list) -> tuple:
@@ -550,7 +558,13 @@ class MultiUtility(RelationModel):
 
 
 class CatalogPiecewise(RelationModel):
-    """Hand-coded relation with a closed-form segment oracle."""
+    """Hand-coded relation with a closed-form segment oracle.
+
+    `ranking`, when given, is a functional v on the carrier that is
+    mixture-affine, v(x`lam`y) = lam*v(x) + (1-lam)*v(y), and that the
+    relation ranks by: x is weakly preferred to y iff v(x) >= v(y), and the
+    oracle labels lam by the sign of v(x`lam`y) - v(z).
+    """
 
     kind = "catalog"
 
@@ -560,11 +574,13 @@ class CatalogPiecewise(RelationModel):
         space: MixtureSpace,
         compare_fn: Callable[[Point, Point], ComparisonOutcome],
         segment_fn: Optional[Callable[[Point, Point, Point], LabeledPartition]],
+        ranking: Optional[Callable[[Point], Fraction]] = None,
     ):
         super().__init__(space)
         self.entry_id = entry_id
         self._compare = compare_fn
         self._segment = segment_fn
+        self.ranking = ranking
 
     def compare(self, x: Point, y: Point) -> ComparisonOutcome:
         return self._compare(x, y)
@@ -575,6 +591,10 @@ class CatalogPiecewise(RelationModel):
         return self._segment(x, y, z)
 
     def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
+        if self.ranking is not None:
+            # the oracle's words are those of one utility, the column v
+            _, column = _over_common_denominator([self.ranking(p) for p in points])
+            return _sign_code_rows([(v,) for v in column])
         # On an interval, x`lam`y is the point lam*x0 + (1-lam)*y0, so the
         # partition of (x, y, z) is that of the full segment (hi, lo, z) on
         # the weights between those of x0 and y0, rescaled.  Every flag bit
@@ -644,6 +664,10 @@ class QuotientDerived(RelationModel):
     def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
         cx, cy, cz = (self.space.canonical(p) for p in (x, y, z))
         return self.base.segment(cx, cy, cz)
+
+    def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
+        # each triple's partition is the base's on the canonical members
+        return self.base.segment_flag_rows([self.space.canonical(p) for p in points])
 
     def descriptor(self) -> dict:
         return {"kind": "quotient", "base": self.base.descriptor()}

@@ -54,6 +54,22 @@ def split_b(s) -> Point:
     return Point((rat(s), ZERO), part="B")
 
 
+def mix_coords(lam, xs: Sequence, ys: Sequence) -> tuple[Fraction, ...]:
+    """lam*a + (1-lam)*b for each pair of coordinates (a, b), in integers.
+
+    With lam = p/q, a = m/d and b = n/e it is (p*m*e + (q-p)*n*d) / (q*d*e):
+    one `Fraction` per coordinate, which normalises, so the point is equal
+    to (and hashes as) the one built by `Fraction` arithmetic.
+    """
+    p, q = lam.numerator, lam.denominator
+    r = q - p
+    return tuple([
+        Fraction(p * a.numerator * b.denominator + r * b.numerator * a.denominator,
+                 q * a.denominator * b.denominator)
+        for a, b in zip(xs, ys)
+    ])
+
+
 class CarrierError(ValueError):
     pass
 
@@ -93,7 +109,7 @@ class Simplex(MixtureSpace):
         ]
 
     def mix(self, x: Point, lam, y: Point) -> Point:
-        return Point(tuple(lam * a + (1 - lam) * b for a, b in zip(x.coords, y.coords)))
+        return Point(mix_coords(lam, x.coords, y.coords))
 
     def descriptor(self) -> dict:
         return {"kind": "simplex", "dim": self.dim}
@@ -109,7 +125,7 @@ class RealInterval(MixtureSpace):
         return p.part is None and len(p.coords) == 1 and self.lo <= p.coords[0] <= self.hi
 
     def mix(self, x: Point, lam, y: Point) -> Point:
-        return Point((lam * x.coords[0] + (1 - lam) * y.coords[0],))
+        return Point(mix_coords(lam, x.coords, y.coords))
 
     def descriptor(self) -> dict:
         return {"kind": "interval", "lo": str(self.lo), "hi": str(self.hi)}
@@ -138,7 +154,7 @@ class SplitSpace(MixtureSpace):
 
     def mix(self, x: Point, lam, y: Point) -> Point:
         if x.part == y.part:
-            coords = tuple(lam * a + (1 - lam) * b for a, b in zip(x.coords, y.coords))
+            coords = mix_coords(lam, x.coords, y.coords)
             if x.part == "B" and coords[0] == 0:  # both weights on the origin side
                 return Point((ZERO, ZERO), part="A")
             return Point(coords, part=x.part)

@@ -148,6 +148,37 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
             assert "error: bad space descriptor: " in err, name
 
 
+def test_quotient_that_does_not_exist_exits_2(tmp_path, capsys):
+    """Where indifference does not give a quotient (here class mixtures
+    depend on representatives), each command that quotients exits 2."""
+    appx3, flimsy = catalog_model(tmp_path, "appx3"), catalog_model(tmp_path, "flimsy_0_3")
+    wrapped = tmp_path / "quotient_appx3.json"
+    wrapped.write_text(json.dumps({
+        "relation": {"kind": "quotient", "base": {"kind": "catalog", "id": "appx3"}},
+    }))
+    for argv in (
+        ("axioms", appx3, "--quotient"),
+        ("axioms", flimsy, "--quotient", "--json"),
+        ("theorem", "T4", appx3, "--quotient"),
+        ("represent", str(wrapped)),
+        ("axioms", str(wrapped)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: cannot quotient: "), argv
+
+
+def test_non_integer_seed_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("PREFCHECK_SEED", "abc")
+    code, out, err = run_cli(capsys, "fuzz", "--count", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: PREFCHECK_SEED must be an integer")
+    # an explicit --seed does not read the variable
+    assert run_cli(capsys, "fuzz", "--count", "1", "--seed", "3")[0] == 0
+    monkeypatch.setenv("PREFCHECK_SEED", "3")
+    assert run_cli(capsys, "fuzz", "--count", "1")[0] == 0
+
+
 def test_int_and_string_rationals_are_read(tmp_path, capsys):
     path = tmp_path / "ints.json"
     path.write_text(json.dumps({

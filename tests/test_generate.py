@@ -1,6 +1,15 @@
 from itertools import product
 
-from prefcheck.generate import ENRICH_GRID, _first_fragile_triple, fuzz_corpus
+import pytest
+
+from prefcheck.generate import (
+    DEFAULT_SEED,
+    ENRICH_GRID,
+    _first_fragile_triple,
+    env_seed,
+    fuzz_corpus,
+    seeded_rng,
+)
 from prefcheck.relations import FRAGILE_HIT
 from prefcheck.spaces import augment_points
 
@@ -16,3 +25,15 @@ def test_first_fragile_triple_matches_brute_force():
         assert _first_fragile_triple(rel, points) == want
         hits += want is not None
     assert hits >= 3
+
+
+def test_seed_variable_is_read_as_an_integer(monkeypatch):
+    monkeypatch.delenv("PREFCHECK_SEED", raising=False)
+    assert env_seed() == DEFAULT_SEED
+    monkeypatch.setenv("PREFCHECK_SEED", "7")
+    assert env_seed() == 7
+    assert seeded_rng().random() == seeded_rng(7).random()
+    monkeypatch.setenv("PREFCHECK_SEED", "abc")
+    with pytest.raises(ValueError, match="PREFCHECK_SEED must be an integer"):
+        seeded_rng()
+    assert seeded_rng(7).random() == seeded_rng(7).random()  # an explicit seed wins

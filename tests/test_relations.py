@@ -1,12 +1,12 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefcheck import intervals as iv
-from prefcheck.axioms import AxiomEngine
+from prefcheck.axioms import AxiomEngine, Universe
 from prefcheck.catalog import ENTRY_IDS, load_entry
 from prefcheck.intervals import FULL, OPEN_UNIT, Interval, interval, point, union
 from prefcheck.quadratic import quad_pt
@@ -37,7 +37,16 @@ from prefcheck.relations import (
     flag_bit,
     section,
 )
-from prefcheck.spaces import CarrierError, Point, RealInterval, Simplex, augment_points, pt
+from prefcheck.spaces import (
+    CarrierError,
+    Point,
+    QuotientError,
+    RealInterval,
+    Simplex,
+    augment_points,
+    pt,
+    quotient,
+)
 
 F = Fraction
 
@@ -443,6 +452,65 @@ def test_flag_row_kernel_on_pareto2_closure():
     universe = entry.universe
     points = augment_points(entry.space, universe.points, universe.grid, depth=2)[:40]
     _assert_rows_match_classify_segment(MultiUtility(entry.relation.utilities), points)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_split_flag_row_kernel_matches_oracle(depth):
+    """`split_hm` ranks by a mixture-affine functional, so its rows come
+    from the one-utility sign-code kernel, cross-arm mixtures included (49
+    points at depth 2)."""
+    entry = load_entry("split_hm")
+    universe = entry.universe
+    points = augment_points(entry.space, universe.points, universe.grid, depth)
+    assert {p.part for p in points} == {"A", "B"}
+    rel = entry.relation
+    row = rel.segment_flag_rows(points)
+    for i, j in combinations_with_replacement(range(len(points)), 2):
+        want = [rel.classify_segment(points[i], points[j], p).flags for p in points]
+        assert row(i, j) == want, (i, j)
+        assert row(j, i) == want, (j, i)
+
+
+def _quotient_cases():
+    """(entry id, derived relation, quotient universe points) of every
+    catalog entry whose quotient exists and has a segment oracle."""
+    cases = []
+    for eid in ORACLE_ENTRIES:
+        entry = load_entry(eid)
+        universe = entry.universe
+        try:
+            qspace, qrel = quotient(entry.space, entry.relation, universe.points, universe.grid)
+        except QuotientError:
+            continue
+        quniverse = Universe(qspace.representatives, universe.closure_depth, universe.grid)
+        cases.append((eid, qrel, AxiomEngine(qrel, quniverse).points))
+    return cases
+
+
+def test_quotient_flag_rows_match_classify_segment():
+    """A quotient's rows are the base kernel's on canonical members; each
+    must be the word of the derived relation's own `classify_segment`."""
+    cases = _quotient_cases()
+    assert {eid for eid, _, _ in cases} == set(ORACLE_ENTRIES) - {"appx3", "flimsy_0_3"}
+    for eid, qrel, points in cases:
+        # a class member other than the representative, mixed in
+        extra = [p for p in load_entry(eid).universe.points if p not in points]
+        _assert_rows_match_classify_segment(qrel, points + extra)
+
+
+def test_quotient_flag_rows_read_canonical_members():
+    """The derived relation reads the base on canonical members, so its rows
+    must too, even where the base oracle tells class members apart (on the
+    catalog it never does): here compare calls every point indifferent
+    while the oracle is that of `appx1`."""
+    base = CatalogPiecewise("all_indifferent", RealInterval(F(0), F(1)),
+                            lambda x, y: ComparisonOutcome.EQUIVALENT,
+                            load_entry("appx1").relation.classify_segment)
+    points = [pt(0), pt(F(1, 2)), pt(1)]
+    qspace, qrel = quotient(base.space, base, points)
+    assert qspace.representatives == (pt(0),)
+    _assert_rows_match_classify_segment(qrel, points)
+    assert qrel.segment_flag_rows(points)(1, 2) != base.segment_flag_rows(points)(1, 2)
 
 
 def test_default_flag_row_kernel_reads_partitions():

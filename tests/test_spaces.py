@@ -363,3 +363,83 @@ def test_scans_mix_each_distinct_argument_once():
         space, calls = counting_interval()
         assert not any(v.failed for v in scan(space)), name
         assert calls and max(calls.values()) == 1, name
+
+
+# ---------------------------------------------------------------------------
+# integer mixing against the Fraction formula
+# ---------------------------------------------------------------------------
+
+
+def fraction_mix(lam, xs, ys):
+    """The reference: lam*a + (1-lam)*b per coordinate, in Fraction arithmetic."""
+    return tuple(lam * a + (1 - lam) * b for a, b in zip(xs, ys))
+
+
+def split_reference(x, lam, y):
+    """The split-space mixture of the class docstring, in Fraction arithmetic."""
+    if x.part == y.part:
+        coords = fraction_mix(lam, x.coords, y.coords)
+        if x.part == "B" and coords[0] == 0:
+            return split_a(0)
+        return Point(coords, part=x.part)
+    if x.part == "A":
+        return x if lam == 1 else split_b((1 - lam) * y.coords[0])
+    return y if lam == 0 else split_b(lam * x.coords[0])
+
+
+unit_fractions = st.fractions(0, 1, max_denominator=12)
+# the ends, as Fractions and as ints, and rational weights in between
+mix_weights = st.one_of(st.sampled_from([F(0), F(1), 0, 1, F(1, 2)]), unit_fractions)
+
+
+@st.composite
+def simplex_pair(draw):
+    """Two points of a simplex; coordinates are often equal, or both 0."""
+    dim = draw(st.integers(1, 4))
+
+    def point():
+        raw = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 7]), min_size=dim, max_size=dim)
+                   .filter(any))
+        return Point(tuple(F(c, sum(raw)) for c in raw))
+
+    x = point()
+    return Simplex(dim), x, draw(st.sampled_from([x, point()]))
+
+
+@st.composite
+def split_pair(draw):
+    def point():
+        if draw(st.booleans()):
+            return split_a(draw(unit_fractions))
+        return split_b(draw(unit_fractions.filter(bool)))
+
+    return point(), point()
+
+
+def assert_same_point(got, want):
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert got.part == want.part
+    assert all(type(c) is F for c in got.coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplex_pair(), mix_weights)
+def test_simplex_mix_matches_fraction_formula(case, lam):
+    space, x, y = case
+    assert_same_point(space.mix(x, lam, y), Point(fraction_mix(F(lam), x.coords, y.coords)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(-3, 3, max_denominator=6), st.fractions(-3, 3, max_denominator=6),
+       mix_weights)
+def test_interval_mix_matches_fraction_formula(a, b, lam):
+    space = RealInterval(min(a, b), max(a, b))
+    assert_same_point(space.mix(pt(a), lam, pt(b)), pt(F(lam) * a + (1 - F(lam)) * b))
+    assert_same_point(space.mix(pt(a), lam, pt(a)), pt(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_pair(), mix_weights)
+def test_split_mix_matches_fraction_formula(pair, lam):
+    x, y = pair
+    assert_same_point(SplitSpace().mix(x, lam, y), split_reference(x, F(lam), y))

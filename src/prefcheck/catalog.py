@@ -1,9 +1,11 @@
 """Built-in relation fixtures with expected verdicts.
 
-Each entry packages a carrier, a relation (comparator plus exact segment
-oracle), a default universe, and the verdicts the engine must reproduce on
-it.  `run_catalog` re-derives everything and reports any mismatch; it is
-the regression core of the test suite.
+Each entry packages a carrier, a relation, a default universe, and the
+verdicts the engine must reproduce on it.  A relation whose sections are
+interval unions is a comparator plus its cut values, the values where each
+comparison can change, or a mixture-affine ranking.  `run_catalog`
+re-derives everything and reports any mismatch; it is the regression core
+of the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 
 from . import intervals as iv
 from .axioms import AxiomEngine, Universe
-from .intervals import EMPTY, SectionSet
+from .intervals import SectionSet
 from .quadratic import (
     QuadRat,
     RootTwoUnitInterval,
@@ -25,15 +27,9 @@ from .quadratic import (
 from .relations import (
     CatalogPiecewise,
     ComparisonOutcome,
-    Label,
-    LabeledPartition,
     MultiUtility,
     PointwiseOnly,
     RelationModel,
-    affine_eq,
-    affine_ge,
-    affine_le,
-    assemble_partition,
 )
 from .representation import calibrate, extreme_points, verify_representation
 from .spaces import (
@@ -88,31 +84,10 @@ class CatalogEntry:
 
 
 # ---------------------------------------------------------------------------
-# Oracles on real-interval carriers: the moving value is affine in the weight
+# Relations on real-interval carriers.  Each declares the values where
+# compare(., z) can change: z's coordinate and the ends of the relation's
+# blocks, the carrier's ends included.
 # ---------------------------------------------------------------------------
-
-
-def _affine(x: Point, y: Point) -> tuple[Fraction, Fraction]:
-    return x.coords[0] - y.coords[0], y.coords[0]
-
-
-def _partition(**by_label) -> LabeledPartition:
-    labels = {
-        "above": Label.STRICT_ABOVE,
-        "below": Label.STRICT_BELOW,
-        "eq": Label.INDIFFERENT,
-        "bowtie": Label.INCOMPARABLE,
-    }
-    sections = {}
-    covered = EMPTY
-    for key, sec in by_label.items():
-        sections[labels[key]] = sec
-        covered = iv.union(covered, sec)
-    rest = iv.complement(covered)
-    if not rest.is_empty():
-        bowtie = sections.get(Label.INCOMPARABLE, EMPTY)
-        sections[Label.INCOMPARABLE] = iv.union(bowtie, rest)
-    return assemble_partition(sections)
 
 
 def _appx1_compare(u: Point, v: Point) -> ComparisonOutcome:
@@ -126,13 +101,8 @@ def _appx1_compare(u: Point, v: Point) -> ComparisonOutcome:
     return BOWTIE
 
 
-def _appx1_segment(x: Point, y: Point, z: Point) -> LabeledPartition:
-    a, b = _affine(x, y)
-    z0 = z.coords[0]
-    if z0 == 1:
-        on_top = affine_eq(a, b, iv.ONE)
-        return _partition(eq=on_top, below=iv.complement(on_top))
-    return _partition(eq=affine_eq(a, b, z0), above=affine_eq(a, b, iv.ONE))
+def _appx1_cuts(z: Point) -> tuple:
+    return ((z.coords[0], iv.ONE),)
 
 
 def _appx2_compare(u: Point, v: Point) -> ComparisonOutcome:
@@ -144,14 +114,8 @@ def _appx2_compare(u: Point, v: Point) -> ComparisonOutcome:
     return BOWTIE
 
 
-def _appx2_segment(x: Point, y: Point, z: Point) -> LabeledPartition:
-    a, b = _affine(x, y)
-    z0 = z.coords[0]
-    if z0 < HALF:
-        same = iv.union(affine_le(a, b, HALF, strict=True), affine_eq(a, b, z0))
-    else:
-        same = affine_eq(a, b, z0)
-    return _partition(eq=same)
+def _appx2_cuts(z: Point) -> tuple:
+    return ((z.coords[0], HALF),)
 
 
 def _appx3_block(v: Fraction) -> int:
@@ -165,13 +129,8 @@ def _appx3_compare(u: Point, v: Point) -> ComparisonOutcome:
     return BETTER if bu > bv else WORSE
 
 
-def _appx3_segment(x: Point, y: Point, z: Point) -> LabeledPartition:
-    a, b = _affine(x, y)
-    low = affine_le(a, b, HALF, strict=True)
-    high = affine_ge(a, b, HALF)
-    if _appx3_block(z.coords[0]) == 0:
-        return _partition(eq=low, above=high)
-    return _partition(eq=high, below=low)
+def _appx3_cuts(z: Point) -> tuple:
+    return ((HALF,),)
 
 
 def _fragile_compare(u: Point, v: Point) -> ComparisonOutcome:
@@ -185,15 +144,8 @@ def _fragile_compare(u: Point, v: Point) -> ComparisonOutcome:
     return BOWTIE
 
 
-def _fragile_segment(x: Point, y: Point, z: Point) -> LabeledPartition:
-    a, b = _affine(x, y)
-    z0 = z.coords[0]
-    parts = {"eq": affine_eq(a, b, z0)}
-    if z0 == 0:
-        parts["above"] = affine_eq(a, b, iv.ONE)
-    if z0 == 1:
-        parts["below"] = affine_eq(a, b, iv.ZERO)
-    return _partition(**parts)
+def _fragile_cuts(z: Point) -> tuple:
+    return ((z.coords[0], iv.ZERO, iv.ONE),)
 
 
 def _flimsy_block(v: Fraction) -> int:
@@ -216,17 +168,8 @@ def _flimsy_compare(u: Point, v: Point) -> ComparisonOutcome:
     return BETTER if bu > bv else WORSE
 
 
-def _flimsy_segment(x: Point, y: Point, z: Point) -> LabeledPartition:
-    a, b = _affine(x, y)
-    z0 = z.coords[0]
-    zb = _flimsy_block(z0)
-    if zb == 1:  # the incomparable middle band: indifferent to z alone
-        return _partition(eq=affine_eq(a, b, z0))
-    low = affine_le(a, b, F(1), strict=True)
-    high = affine_ge(a, b, F(2), strict=True)
-    if zb == 0:
-        return _partition(eq=low, above=high)
-    return _partition(eq=high, below=low)
+def _flimsy_cuts(z: Point) -> tuple:
+    return ((z.coords[0], F(1), F(2)),)
 
 
 # ---------------------------------------------------------------------------
@@ -255,33 +198,10 @@ def _star_compare(u: Point, v: Point) -> ComparisonOutcome:
     return BOWTIE
 
 
-def _coord_affine(x: Point, y: Point, k: int) -> tuple[Fraction, Fraction]:
-    return x.coords[k] - y.coords[k], y.coords[k]
-
-
-def _point_eq_region(x: Point, y: Point, z: Point) -> SectionSet:
-    region = iv.FULL
-    for k in range(len(z.coords)):
-        a, b = _coord_affine(x, y, k)
-        region = iv.intersect(region, affine_eq(a, b, z.coords[k]))
-    return region
-
-
-def _star_segment(x: Point, y: Point, z: Point) -> LabeledPartition:
-    parts = {"eq": _point_eq_region(x, y, z)}
-    if z == _E2:
-        a1, b1 = _coord_affine(x, y, 0)
-        a3, b3 = _coord_affine(x, y, 2)
-        first_edge = iv.intersect(
-            affine_eq(a3, b3, iv.ZERO), affine_ge(a1, b1, iv.ZERO, strict=True)
-        )
-        second_edge = iv.intersect(
-            affine_eq(a1, b1, iv.ZERO), affine_ge(a3, b3, iv.ZERO, strict=True)
-        )
-        parts["above"] = iv.union(first_edge, second_edge)
-    elif _on_star(z):
-        parts["below"] = _point_eq_region(x, y, _E2)
-    return _partition(**parts)
+def _star_cuts(z: Point) -> list:
+    # being on the star reads the signs of the first and last coordinates,
+    # u == z every coordinate against z's; u == E2 where both of those are 0
+    return [(iv.ZERO, c) for c in z.coords]
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +218,6 @@ def _split_value(p: Point) -> Fraction:
     0 is the A origin, where v = 0.
     """
     return p.coords[0] if p.part == "B" else iv.ZERO
-
-
-def _split_compare(u: Point, v: Point) -> ComparisonOutcome:
-    vu, vv = _split_value(u), _split_value(v)
-    return ComparisonOutcome.from_weak(vu >= vv, vv >= vu)
-
-
-def _split_segment(x: Point, y: Point, z: Point) -> LabeledPartition:
-    # v(x`lam`y) = a*lam + b, since v is mixture-affine
-    vx, vy = _split_value(x), _split_value(y)
-    a, b, c = vx - vy, vy, _split_value(z)
-    return _partition(
-        above=affine_ge(a, b, c, strict=True),
-        eq=affine_eq(a, b, c),
-        below=affine_le(a, b, c, strict=True),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +282,10 @@ _ORDER_BASE = {
 }
 
 
-def _unit_interval_entry(entry_id, compare_fn, segment_fn, expectations,
+def _unit_interval_entry(entry_id, compare_fn, cuts, expectations,
                          section_checks=(), notes=""):
     space = RealInterval(iv.ZERO, iv.ONE)
-    rel = CatalogPiecewise(entry_id, space, compare_fn, segment_fn)
+    rel = CatalogPiecewise(entry_id, space, compare_fn, cuts)
     return CatalogEntry(
         id=entry_id,
         space=space,
@@ -409,7 +313,7 @@ def _build_appx1() -> CatalogEntry:
         SectionCheck(pt(1), pt(0), pt(0), "incomparable", iv.interval(0, 1, False, False)),
     )
     return _unit_interval_entry(
-        "appx1", _appx1_compare, _appx1_segment, expect, checks,
+        "appx1", _appx1_compare, _appx1_cuts, expect, checks,
         notes="Reflexive on [0,1]; the top point strictly beats everything "
               "below it and nothing else is comparable.  Weak sections are "
               "closed while the strict section at the top is a single point.",
@@ -431,7 +335,7 @@ def _build_appx2() -> CatalogEntry:
         SectionCheck(pt(0), pt(1), pt(0), "ge", iv.interval(HALF, 1, False, True)),
     )
     return _unit_interval_entry(
-        "appx2", _appx2_compare, _appx2_segment, expect, checks,
+        "appx2", _appx2_compare, _appx2_cuts, expect, checks,
         notes="All points below 1/2 are mutually indifferent; everything else "
               "is incomparable (diagonal added).  Both Archimedean forms hold "
               "vacuously; weak sections like the one at (0,1,0) are half-open "
@@ -454,7 +358,7 @@ def _build_appx3() -> CatalogEntry:
         SectionCheck(pt(0), pt(1), pt(0), "le", iv.interval(HALF, 1, False, True)),
     )
     return _unit_interval_entry(
-        "appx3", _appx3_compare, _appx3_segment, expect, checks,
+        "appx3", _appx3_compare, _appx3_cuts, expect, checks,
         notes="Two indifference blocks [0,1/2) and [1/2,1], upper block "
               "strictly preferred: complete, but mixing 1/2 toward 0 drops "
               "out of the upper block immediately, so the strong Archimedean "
@@ -480,7 +384,7 @@ def _build_fragile_unit() -> CatalogEntry:
                      iv.interval(0, 1, False, False)),
     )
     return _unit_interval_entry(
-        "fragile_unit", _fragile_compare, _fragile_segment, expect, checks,
+        "fragile_unit", _fragile_compare, _fragile_cuts, expect, checks,
         notes="Sure-thing top beats sure-thing bottom; every proper lottery "
               "between them is incomparable to both.  Every neighborhood of "
               "the strict weight 1 contains an open interval of "
@@ -490,7 +394,7 @@ def _build_fragile_unit() -> CatalogEntry:
 
 def _build_flimsy_0_3() -> CatalogEntry:
     space = RealInterval(iv.ZERO, F(3))
-    rel = CatalogPiecewise("flimsy_0_3", space, _flimsy_compare, _flimsy_segment)
+    rel = CatalogPiecewise("flimsy_0_3", space, _flimsy_compare, _flimsy_cuts)
     expect = dict(_ORDER_BASE)
     expect.update({
         "complete": _F, "nontrivial": _H, "negatively_transitive": _F,
@@ -524,7 +428,7 @@ def _build_flimsy_0_3() -> CatalogEntry:
 
 def _build_star_cvx() -> CatalogEntry:
     space = Simplex(3)
-    rel = CatalogPiecewise("star_cvx_not_cvx", space, _star_compare, _star_segment)
+    rel = CatalogPiecewise("star_cvx_not_cvx", space, _star_compare, _star_cuts)
     expect = dict(_ORDER_BASE)
     expect.update({
         "complete": _F, "nontrivial": _H, "negatively_transitive": _F,
@@ -555,8 +459,7 @@ def _build_star_cvx() -> CatalogEntry:
 
 def _build_split_hm() -> CatalogEntry:
     space = SplitSpace()
-    rel = CatalogPiecewise("split_hm", space, _split_compare, _split_segment,
-                           ranking=_split_value)
+    rel = CatalogPiecewise("split_hm", space, ranking=_split_value)
     expect = dict(_ORDER_BASE)
     expect.update({
         "complete": _H, "nontrivial": _H, "negatively_transitive": _H,
@@ -770,7 +673,7 @@ def _quotient_representation_report(entry: CatalogEntry) -> tuple[dict, list[str
     if not outcome.passed:
         mismatches.append("quotient representation failed verification")
     for p, value in rep.values.items():
-        expected = p.coords[0] if p.part == "B" else iv.ZERO
+        expected = entry.relation.ranking(p)
         if value != expected:
             mismatches.append(
                 f"quotient utility of {p} is {value}, expected {expected}"

@@ -369,22 +369,6 @@ def _merge_runs(weights: Sequence[Fraction], labels: Sequence[Label]) -> tuple:
     return tuple(pieces)
 
 
-def _elementary_labels(pieces) -> tuple[list, tuple]:
-    """The cut weights of a partition and its elementary labels: labels[2k]
-    at the cut weights[k], labels[2k + 1] on the open gap after it."""
-    weights, labels = [], []
-    for piece, label in pieces:
-        if piece.lo_closed:  # else the piece before owns the cut
-            weights.append(piece.lo)
-            labels.append(label)
-        if piece.lo != piece.hi:
-            labels.append(label)
-            if piece.hi_closed:
-                weights.append(piece.hi)
-                labels.append(label)
-    return weights, tuple(labels)
-
-
 def _cut_word(a: Iterable[int], b: Iterable[int]) -> int:
     """Flag word of the partition cut by the integer gaps a[u]*lam + b[u].
 
@@ -558,12 +542,26 @@ class MultiUtility(RelationModel):
 
 
 class CatalogPiecewise(RelationModel):
-    """Hand-coded relation with a closed-form segment oracle.
+    """Relation given by its comparator and, per target, the values where
+    the comparison can change; its segment oracle is derived from both.
+
+    A point's features are its coordinates on a `Simplex` or a
+    `RealInterval`, whose mix is coordinate-wise, or the one value of
+    `ranking` where that is declared.  `cuts(z)` gives, for each feature,
+    the values where compare(., z) can change.  Every feature is
+    mixture-affine, so along x`lam`y it meets a value at one weight at most,
+    or stays on it.  The oracle cuts [0,1] at every weight in (0,1) where a
+    feature of x`lam`y meets a cut value, labels each cut and one inner
+    point of each open gap by `compare` on the mixed point, and the ends by
+    compare(y, z) and compare(x, z).  It is exact whenever compare(., z) is
+    constant on every cell that the declared values cut out: the points
+    whose every feature lies on the same value, or strictly between the
+    same two neighbouring values.
 
     `ranking`, when given, is a functional v on the carrier that is
     mixture-affine, v(x`lam`y) = lam*v(x) + (1-lam)*v(y), and that the
-    relation ranks by: x is weakly preferred to y iff v(x) >= v(y), and the
-    oracle labels lam by the sign of v(x`lam`y) - v(z).
+    relation ranks by: x is weakly preferred to y iff v(x) >= v(y).  It
+    defines the comparator, and the one cut value v(z).
     """
 
     kind = "catalog"
@@ -572,23 +570,57 @@ class CatalogPiecewise(RelationModel):
         self,
         entry_id: str,
         space: MixtureSpace,
-        compare_fn: Callable[[Point, Point], ComparisonOutcome],
-        segment_fn: Optional[Callable[[Point, Point, Point], LabeledPartition]],
+        compare_fn: Optional[Callable[[Point, Point], ComparisonOutcome]] = None,
+        cuts: Optional[Callable[[Point], Sequence[Iterable[Fraction]]]] = None,
         ranking: Optional[Callable[[Point], Fraction]] = None,
     ):
         super().__init__(space)
+        if ranking is not None:
+            def compare_fn(x: Point, y: Point) -> ComparisonOutcome:
+                vx, vy = ranking(x), ranking(y)
+                return ComparisonOutcome.from_weak(vx >= vy, vy >= vx)
+
+            def cuts(z: Point) -> tuple:
+                return ((ranking(z),),)
+        elif not isinstance(space, (Simplex, RealInterval)):
+            raise ValueError("off a simplex or an interval, a catalog relation needs a ranking")
         self.entry_id = entry_id
         self._compare = compare_fn
-        self._segment = segment_fn
+        self._cuts = cuts
+        self._cut_values: dict[Point, tuple] = {}
         self.ranking = ranking
 
     def compare(self, x: Point, y: Point) -> ComparisonOutcome:
         return self._compare(x, y)
 
+    def _features(self, p: Point) -> tuple:
+        return p.coords if self.ranking is None else (self.ranking(p),)
+
+    def _cut_labels(self, x: Point, y: Point, z: Point) -> tuple[list, tuple]:
+        """The cut weights of (x, y, z), 0 and 1 included, and its labels:
+        labels[2k] at the cut weights[k], labels[2k + 1] on the open gap
+        after it."""
+        values = self._cut_values.get(z)
+        if values is None:
+            values = self._cut_values[z] = tuple(tuple(v) for v in self._cuts(z))
+        roots = set()
+        for a, b, at in zip(self._features(x), self._features(y), values):
+            # the feature of x`lam`y is b + lam*(a - b): it meets c inside
+            # (0,1) exactly when c lies strictly between b and a
+            lo, hi = (a, b) if a < b else (b, a)
+            for c in at:
+                if lo < c < hi:
+                    roots.add((c - b) / (a - b))
+        mix, compare = self.space.mix, self._compare
+        weights = [iv.ZERO, *sorted(roots), iv.ONE]
+        labels = [OUTCOME_TO_LABEL[compare(y, z)]]
+        for lo, hi in zip(weights, weights[1:]):
+            inner, end = mix(x, (lo + hi) / 2, y), x if hi == 1 else mix(x, hi, y)
+            labels += (OUTCOME_TO_LABEL[compare(inner, z)], OUTCOME_TO_LABEL[compare(end, z)])
+        return weights, tuple(labels)
+
     def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
-        if self._segment is None:  # pragma: no cover - catalog entries supply one
-            return super().classify_segment(x, y, z)
-        return self._segment(x, y, z)
+        return LabeledPartition(_merge_runs(*self._cut_labels(x, y, z)))
 
     def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
         if self.ranking is not None:
@@ -599,7 +631,7 @@ class CatalogPiecewise(RelationModel):
         # partition of (x, y, z) is that of the full segment (hi, lo, z) on
         # the weights between those of x0 and y0, rescaled.  Every flag bit
         # is topological and mirror invariant, so the word depends only on
-        # the full partition's elementary labels over that slice.
+        # the full segment's labels (cuts and open gaps) over that slice.
         space = self.space
         if not isinstance(space, RealInterval):
             return super().segment_flag_rows(points)
@@ -609,7 +641,7 @@ class CatalogPiecewise(RelationModel):
         for z in points:
             # a point's position is 2k on the cut k and 2k - 1 inside the
             # gap before it, so the slice is labels[a:b + 1]
-            weights, labels = _elementary_labels(self.segment(top, bottom, z).pieces)
+            weights, labels = self._cut_labels(top, bottom, z)
             pos = []
             for w in at:
                 k = bisect_left(weights, w)

@@ -269,7 +269,7 @@ def test_single_utility_convexity_family():
 
 def test_linear_check_requires_lemma_hypotheses():
     # a relation with intransitive indifference gets no linearity verdict
-    from prefcheck.relations import CatalogPiecewise, Label, assemble_partition
+    from prefcheck.relations import CatalogPiecewise
     from prefcheck.spaces import RealInterval
 
     def cmp(u, v):
@@ -277,17 +277,10 @@ def test_linear_check_requires_lemma_hypotheses():
         return (ComparisonOutcome.EQUIVALENT if gap <= F(1, 4)
                 else ComparisonOutcome.INCOMPARABLE)
 
-    def seg(x, y, z):
-        a, b = x.coords[0] - y.coords[0], y.coords[0]
-        from prefcheck.relations import affine_ge, affine_le
-        near = iv.intersect(affine_ge(a, b, z.coords[0] - F(1, 4)),
-                            affine_le(a, b, z.coords[0] + F(1, 4)))
-        return assemble_partition({
-            Label.INDIFFERENT: near,
-            Label.INCOMPARABLE: iv.complement(near),
-        })
+    def cuts(z):
+        return ((z.coords[0] - F(1, 4), z.coords[0] + F(1, 4)),)
 
-    rel = CatalogPiecewise("near", RealInterval(F(0), F(1)), cmp, seg)
+    rel = CatalogPiecewise("near", RealInterval(F(0), F(1)), cmp, cuts)
     engine = AxiomEngine(rel, Universe((pt(0), pt(F(1, 2)), pt(1))))
     assert engine.verdict("linear").status is Status.NOT_APPLICABLE
 

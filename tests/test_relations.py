@@ -28,6 +28,7 @@ from prefcheck.relations import (
     NotRepresentableError,
     OUTCOME_TO_LABEL,
     PartitionError,
+    RelationModel,
     affine_eq,
     affine_ge,
     affine_le,
@@ -43,6 +44,7 @@ from prefcheck.spaces import (
     QuotientError,
     RealInterval,
     Simplex,
+    SplitSpace,
     augment_points,
     pt,
     quotient,
@@ -201,6 +203,44 @@ def test_oracle_against_pointwise_compare(eid):
             got = part.label_at(lam)
             want = OUTCOME_TO_LABEL[rel.compare(space.mix(x, lam, y), z)]
             assert got == want, (eid, x, y, z, lam)
+
+
+CUT_ENTRIES = [eid for eid in ENTRY_IDS
+               if isinstance(load_entry(eid).relation, CatalogPiecewise)]
+
+
+@pytest.mark.parametrize("eid", CUT_ENTRIES)
+def test_derived_oracle_at_off_grid_weights(eid):
+    """A cut-declared relation's oracle labels every weight, not only those
+    of a grid, as compare labels the mixed point: random rational weights
+    lam and mu off the p/100 grid, over triples (x, y, z) of the depth-2
+    closure and over (x, y, x`mu`y), whose target lies on the segment."""
+    entry = load_entry(eid)
+    rel, space = entry.relation, entry.space
+    points = st.sampled_from(
+        augment_points(space, entry.universe.points, entry.universe.grid, 2))
+    off_grid = st.fractions(0, 1, max_denominator=1000).filter(
+        lambda w: (100 * w).denominator != 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(points, points, points, off_grid, off_grid)
+    def check(x, y, z, lam, mu):
+        for target in (z, space.mix(x, mu, y)):
+            part = rel.segment(x, y, target)
+            for w in (lam, mu):
+                want = OUTCOME_TO_LABEL[rel.compare(space.mix(x, w, y), target)]
+                assert part.label_at(w) == want, (x, y, target, w)
+
+    check()
+
+
+def test_cut_features_need_a_coordinate_wise_mix_or_a_ranking():
+    """Off a simplex or an interval the coordinates are not mixture-affine
+    (split-space mixtures across the arms collapse), so a relation there
+    must declare its ranking instead."""
+    with pytest.raises(ValueError):
+        CatalogPiecewise("split", SplitSpace(), lambda x, y: ComparisonOutcome.EQUIVALENT,
+                         lambda z: ())
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +538,27 @@ def test_quotient_flag_rows_match_classify_segment():
         _assert_rows_match_classify_segment(qrel, points + extra)
 
 
+class _AllIndifferent(RelationModel):
+    """Every point indifferent to every other, with the segment oracle of
+    `appx1`: deliberately inconsistent."""
+
+    kind = "all_indifferent"
+
+    def __init__(self):
+        super().__init__(RealInterval(F(0), F(1)))
+
+    def compare(self, x, y):
+        return ComparisonOutcome.EQUIVALENT
+
+    def classify_segment(self, x, y, z):
+        return load_entry("appx1").relation.classify_segment(x, y, z)
+
+
 def test_quotient_flag_rows_read_canonical_members():
     """The derived relation reads the base on canonical members, so its rows
     must too, even where the base oracle tells class members apart (on the
-    catalog it never does): here compare calls every point indifferent
-    while the oracle is that of `appx1`."""
-    base = CatalogPiecewise("all_indifferent", RealInterval(F(0), F(1)),
-                            lambda x, y: ComparisonOutcome.EQUIVALENT,
-                            load_entry("appx1").relation.classify_segment)
+    catalog it never does)."""
+    base = _AllIndifferent()
     points = [pt(0), pt(F(1, 2)), pt(1)]
     qspace, qrel = quotient(base.space, base, points)
     assert qspace.representatives == (pt(0),)
@@ -539,12 +592,16 @@ def test_interval_flag_row_kernel_matches_oracle(entry_id):
         assert row(j, i) == want, (i, j)
 
 
+LABEL_TO_OUTCOME = {label: outcome for outcome, label in OUTCOME_TO_LABEL.items()}
+
+
 @st.composite
-def interval_oracles(draw):
+def interval_relations(draw):
     """A random relation on a random interval [lo, hi]: thresholds cut the
     values into classes (each threshold, each open gap between them), and
-    the label of x`lam`y against z is drawn per (class of z, class of the
-    mixture).  Returns the carrier, the oracle and some points."""
+    how a point compares with z is drawn per (class of z, class of the
+    point).  Returns the relation, which declares the thresholds as its
+    cuts, a reference oracle built from affine regions, and some points."""
     lo = draw(st.fractions(-2, 2, max_denominator=4))
     width = draw(st.fractions(F(1, 4), 3, max_denominator=4))
     hi = lo + width
@@ -563,6 +620,9 @@ def interval_oracles(draw):
         below = sum(1 for t in cuts if t < v)
         return 2 * below + (1 if below < len(cuts) and cuts[below] == v else 0)
 
+    def compare_fn(u, z):
+        return LABEL_TO_OUTCOME[labels[value_class(z.coords[0])][value_class(u.coords[0])]]
+
     def oracle(x, y, z):
         a, b = x.coords[0] - y.coords[0], y.coords[0]
         regions = []
@@ -578,14 +638,18 @@ def interval_oracles(draw):
 
     values = st.one_of(st.sampled_from([lo, hi, *cuts]), inside(8))
     points = [pt(v) for v in draw(st.lists(values, min_size=1, max_size=6))]
-    return RealInterval(lo, hi), oracle, points
+    rel = CatalogPiecewise("random", RealInterval(lo, hi), compare_fn, lambda z: (cuts,))
+    return rel, oracle, points
 
 
 @settings(max_examples=300, deadline=None)
-@given(interval_oracles())
+@given(interval_relations())
 def test_interval_flag_row_kernel_matches_reference(case):
-    space, oracle, points = case
-    rel = CatalogPiecewise("random", space, None, oracle)
+    """The derived oracle and the interval row kernel both match a reference
+    built from affine regions and interval-set algebra alone."""
+    rel, oracle, points = case
     row = rel.segment_flag_rows(points)
     for i, j in product(range(len(points)), repeat=2):
-        assert row(i, j) == [oracle(points[i], points[j], z).flags for z in points]
+        want = [oracle(points[i], points[j], z) for z in points]
+        assert [rel.classify_segment(points[i], points[j], z) for z in points] == want
+        assert row(i, j) == [part.flags for part in want]

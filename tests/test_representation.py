@@ -8,12 +8,7 @@ from prefcheck.catalog import load_entry
 from prefcheck.relations import (
     CatalogPiecewise,
     ComparisonOutcome,
-    Label,
     MultiUtility,
-    affine_eq,
-    affine_ge,
-    affine_le,
-    assemble_partition,
 )
 from prefcheck.representation import (
     CalibrationError,
@@ -159,21 +154,8 @@ def _plateau_relation():
         lu, lv = level(u.coords[0]), level(v.coords[0])
         return ComparisonOutcome.from_weak(lu >= lv, lv >= lu)
 
-    def seg(x, y, z):
-        a, b = x.coords[0] - y.coords[0], y.coords[0]
-        c = level(z.coords[0])
-        if c == F(1, 2):
-            eq = affine_le(a, b, F(1, 2))
-            above = affine_ge(a, b, F(1, 2), strict=True)
-            return assemble_partition({Label.INDIFFERENT: eq,
-                                       Label.STRICT_ABOVE: above})
-        return assemble_partition({
-            Label.INDIFFERENT: affine_eq(a, b, c),
-            Label.STRICT_ABOVE: affine_ge(a, b, c, strict=True),
-            Label.STRICT_BELOW: affine_le(a, b, c, strict=True),
-        })
-
-    return CatalogPiecewise("plateau", RealInterval(F(0), F(1)), cmp, seg)
+    return CatalogPiecewise("plateau", RealInterval(F(0), F(1)), cmp,
+                            lambda z: ((F(1, 2), z.coords[0]),))
 
 
 def test_plateau_warns_and_verification_fails_honestly():

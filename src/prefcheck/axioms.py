@@ -118,6 +118,7 @@ INCOMPARABLE = ComparisonOutcome.INCOMPARABLE.bit
 _ANY = sum(outcome.bit for outcome in ComparisonOutcome)
 NOT_WEAK = _ANY & ~WEAK
 NOT_STRICT = _ANY & ~STRICT
+_OUTCOME_OF_BIT = {outcome.bit: outcome for outcome in ComparisonOutcome}
 
 # marks are ASCII digits, so a row of them reversed is the binary numeral of
 # the int whose bit k is mark k
@@ -244,7 +245,11 @@ class AxiomEngine:
 
     - outcome rows: per set of comparison outcomes, one n-bit int per
       point i whose bit k says the outcome of (i, k) is in the set, and
-      the transposed rows, whose bit k says that of (k, i) is;
+      the transposed rows, whose bit k says that of (k, i) is.  They are
+      read off the relation's own table, `rel.outcome_rows(points)`, one
+      `bytes` row of outcome bits per point, which also answers
+      `compare` on every pair of points; only pairs with a point outside
+      `points` are compared one at a time, and cached;
     - flag rows: per unordered pair {i, j}, the ids of the flag words of
       (i, j, k) for every k, from the relation's row kernel.  An id
       indexes `_words`, the distinct words met so far.  A row is `bytes`
@@ -263,6 +268,7 @@ class AxiomEngine:
             self.space, universe.points, universe.grid, universe.closure_depth
         )
         self._n = len(self.points)
+        self._index = {p: i for i, p in enumerate(self.points)}
         self._mixtures: Optional[MixTable] = None
         self._cmp: dict[tuple[Point, Point], ComparisonOutcome] = {}
         self._outcomes: Optional[tuple[list[bytes], list[bytes]]] = None
@@ -295,7 +301,19 @@ class AxiomEngine:
 
     # -- comparison layer ---------------------------------------------------
 
+    def _outcome_table(self) -> tuple[list[bytes], list[bytes]]:
+        """The relation's outcome rows over `points`, and their transpose."""
+        if self._outcomes is None:
+            rows = self.rel.outcome_rows(self.points)
+            self._outcomes = rows, [bytes(col) for col in zip(*rows)]
+        return self._outcomes
+
     def compare(self, x: Point, y: Point) -> ComparisonOutcome:
+        i = self._index.get(x)
+        if i is not None:
+            k = self._index.get(y)
+            if k is not None:
+                return _OUTCOME_OF_BIT[self._outcome_table()[0][i][k]]
         key = (x, y)
         got = self._cmp.get(key)
         if got is None:
@@ -322,13 +340,9 @@ class AxiomEngine:
         key = (outcomes, transposed)
         got = self._outcome_rows.get(key)
         if got is None:
-            if self._outcomes is None:
-                rows = [bytes(self.compare(x, y).bit for y in self.points)
-                        for x in self.points]
-                self._outcomes = rows, [bytes(col) for col in zip(*rows)]
             marks = bytes(_MARK if bit & outcomes else _CLEAR for bit in range(256))
             got = self._outcome_rows[key] = [
-                _bitset(row.translate(marks)) for row in self._outcomes[transposed]
+                _bitset(row.translate(marks)) for row in self._outcome_table()[transposed]
             ]
         return got
 

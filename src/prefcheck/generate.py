@@ -14,6 +14,8 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from typing import Iterator, Optional
 
 from . import intervals as iv
@@ -61,30 +63,39 @@ def random_simplex_point(rng: random.Random, n_coords: int) -> Point:
 
 def _incomparable_partner(rel: MultiUtility, points: list[Point],
                           target: Point) -> Optional[Point]:
-    """A point incomparable to `target`, constructed if none is present.
+    """A point incomparable to `target`, constructed when none of `points`
+    is; None when one of `points` already is, or when the search finds none.
+    `target` must be one of `points`.
 
-    Moving from `target` along the difference of any incomparable pair
-    trades the utilities against each other, which forces incomparability
-    as soon as the move stays inside the simplex.
+    If (c, d) is an incomparable pair, the gaps u.(c - d) over the
+    utilities u have signs of both kinds, and so do those of any nonzero
+    multiple of c - d.  So every step from `target` along c - d that stays
+    inside the simplex is incomparable to `target`.  The search tries the
+    incomparable pairs of `points` in scan order, and for each the steps
+    +-(c - d) / 2**k for k = 1, ..., 11, testing in integers, over one
+    common denominator, that the step stays inside.
     """
-    for w in points:
-        if rel.compare(target, w) is ComparisonOutcome.INCOMPARABLE:
-            return None
-    directions = []
-    for c in points:
-        for d in points:
-            if rel.compare(c, d) is ComparisonOutcome.INCOMPARABLE:
-                directions.append(tuple(a - b for a, b in zip(c.coords, d.coords)))
-    for vec in directions:
-        for k in range(1, 12):
-            step = F(1, 2 ** k)
-            for sign in (1, -1):
-                coords = tuple(a + sign * step * v
-                               for a, v in zip(target.coords, vec))
-                if all(c >= 0 for c in coords):
-                    cand = Point(coords)
-                    if rel.compare(target, cand) is ComparisonOutcome.INCOMPARABLE:
-                        return cand
+    incomparable = ComparisonOutcome.INCOMPARABLE.bit
+    rows = rel.outcome_rows(points)
+    at = points.index(target)
+    if incomparable in rows[at]:
+        return None
+    den = lcm(*(c.denominator for p in points for c in p.coords))
+    nums = [[c.numerator * (den // c.denominator) for c in p.coords] for p in points]
+    here = nums[at]
+    for c, row in enumerate(rows):
+        for d, bit in enumerate(row):
+            if bit != incomparable:
+                continue
+            vec = list(map(sub, nums[c], nums[d]))
+            for k in range(1, 12):
+                scale = 2 ** k
+                for sign in (1, -1):
+                    coords = [scale * a + sign * v for a, v in zip(here, vec)]
+                    if all(num >= 0 for num in coords):
+                        cand = Point(tuple(F(num, scale * den) for num in coords))
+                        if rel.compare(target, cand) is ComparisonOutcome.INCOMPARABLE:
+                            return cand
     return None
 
 

@@ -292,6 +292,13 @@ class RelationModel:
 
         return row
 
+    def outcome_rows(self, points: Sequence[Point]) -> list[bytes]:
+        """Per point number i, the `bit` of the outcome of (points[i],
+        points[k]) for every k, in order; a relation that can read every
+        pair from shared work overrides this."""
+        compare = self.compare
+        return [bytes(compare(x, y).bit for y in points) for x in points]
+
     def section(self, x: Point, y: Point, z: Point, which: str) -> SectionSet:
         return self.segment(x, y, z).section(which)
 
@@ -386,6 +393,38 @@ def _cut_word(a: Iterable[int], b: Iterable[int]) -> int:
     return got
 
 
+def _sign_codes(dots: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """The sign code of every pair of point numbers (i, k), as codes[i][k]:
+    one base-3 digit per utility u, 1 + sign(D[i][u] - D[k][u]), for the
+    integer utility columns dots[p][u] = D[p][u] over one denominator."""
+    columns = list(zip(*dots))
+    codes = []
+    for di in dots:
+        code = [0] * len(dots)
+        for u, (vi, column) in enumerate(zip(di, columns)):
+            w = 3 ** u
+            code = [c + w * (1 + (vi > vk) - (vi < vk)) for c, vk in zip(code, column)]
+        codes.append(code)
+    return codes
+
+
+def _sign_outcome_rows(dots: Sequence[tuple[int, ...]]) -> list[bytes]:
+    """`RelationModel.outcome_rows` of the relation "weakly preferred iff no
+    utility is lower", over integer utility columns as for `_sign_codes`:
+    weakly better iff no digit of the sign code is 0, weakly worse iff none
+    is 2."""
+    codes = _sign_codes(dots)
+    # one entry per distinct code met, at most n^2 of them
+    bits: dict[int, int] = {}
+    for code in set().union(*codes):
+        digits, rest = set(), code
+        for _ in dots[0]:  # one digit per utility
+            rest, digit = divmod(rest, 3)
+            digits.add(digit)
+        bits[code] = ComparisonOutcome.from_weak(0 not in digits, 2 not in digits).bit
+    return [bytes(map(bits.__getitem__, code)) for code in codes]
+
+
 def _sign_code_rows(dots: Sequence[tuple[int, ...]]) -> Callable[[int, int], list]:
     """The flag-row kernel over integer utility columns: dots[p][u] = D[p][u]
     is the u-th utility of point number p, all over one denominator d > 0.
@@ -395,23 +434,15 @@ def _sign_code_rows(dots: Sequence[tuple[int, ...]]) -> Callable[[int, int], lis
     `_cut_word(a, b)`.  `row(i, j)` gives the words of (i, j, k) for every k,
     read through keys that recur across rows.
     """
-    # The sign code of points (i, k): one base-3 digit per utility,
-    # 1 + sign(D[i] - D[k]).  Target k of row (i, j) is keyed by the codes
-    # of (i, k) and (j, k), the signs of every g_u at lam = 1 and lam = 0.
+    # Target k of row (i, j) is keyed by the sign codes of (i, k) and
+    # (j, k), the signs of every g_u at lam = 1 and lam = 0.
     # Those fix where each g_u is positive, zero or negative on [0, 1],
     # up to where it crosses zero inside (0, 1), which it does only when
     # the two signs are strictly opposite.  With at most one such
     # utility, every ge and le end lies in {0, t, 1}, in a fixed order:
     # the cut tags, and so the flag word, are a function of the key.
-    columns = list(zip(*dots))
-    codes = []
-    for di in dots:
-        code = [0] * len(dots)
-        for u, (vi, column) in enumerate(zip(di, columns)):
-            w = 3 ** u
-            code = [c + w * (1 + (vi > vk) - (vi < vk)) for c, vk in zip(code, column)]
-        codes.append(code)
-    scale = 3 ** len(columns)
+    codes = _sign_codes(dots)
+    scale = 3 ** len(dots[0])
     high = [[c * scale for c in code] for code in codes]
     memo: dict[int, int] = {}
     # With two or more, say u and v, the order of their crossings
@@ -510,13 +541,21 @@ class MultiUtility(RelationModel):
     def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
         return LabeledPartition(self._runs(self._cuts(x, y, z)))
 
-    def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
+    def _integer_dots(self, points: Sequence[Point]) -> list[tuple[int, ...]]:
+        """Every point's utilities, scaled by one common positive factor."""
         den = lcm(*(c.denominator for p in points for c in p.coords))
-        return _sign_code_rows([
+        return [
             tuple(sum(u * c.numerator * (den // c.denominator)
                       for u, c in zip(row, p.coords)) for row in self._rows)
             for p in points
-        ])
+        ]
+
+    def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
+        return _sign_code_rows(self._integer_dots(points))
+
+    def outcome_rows(self, points: Sequence[Point]) -> list[bytes]:
+        # compare(x, y) is a function of the sign code of (x, y)
+        return _sign_outcome_rows(self._integer_dots(points))
 
     @staticmethod
     def _runs(cuts: list) -> tuple:
@@ -622,11 +661,21 @@ class CatalogPiecewise(RelationModel):
     def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
         return LabeledPartition(_merge_runs(*self._cut_labels(x, y, z)))
 
+    def _ranking_column(self, points: Sequence[Point]) -> list[tuple[int]]:
+        """v of every point, scaled by one common positive factor."""
+        _, column = _over_common_denominator([self.ranking(p) for p in points])
+        return [(v,) for v in column]
+
+    def outcome_rows(self, points: Sequence[Point]) -> list[bytes]:
+        if self.ranking is None:
+            return super().outcome_rows(points)
+        # compare ranks by v: the outcomes of one utility, the column v
+        return _sign_outcome_rows(self._ranking_column(points))
+
     def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
         if self.ranking is not None:
             # the oracle's words are those of one utility, the column v
-            _, column = _over_common_denominator([self.ranking(p) for p in points])
-            return _sign_code_rows([(v,) for v in column])
+            return _sign_code_rows(self._ranking_column(points))
         # On an interval, x`lam`y is the point lam*x0 + (1-lam)*y0, so the
         # partition of (x, y, z) is that of the full segment (hi, lo, z) on
         # the weights between those of x0 and y0, rescaled.  Every flag bit
@@ -696,6 +745,9 @@ class QuotientDerived(RelationModel):
     def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
         cx, cy, cz = (self.space.canonical(p) for p in (x, y, z))
         return self.base.segment(cx, cy, cz)
+
+    def outcome_rows(self, points: Sequence[Point]) -> list[bytes]:
+        return self.base.outcome_rows([self.space.canonical(p) for p in points])
 
     def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
         # each triple's partition is the base's on the canonical members

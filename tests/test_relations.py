@@ -566,6 +566,104 @@ def test_quotient_flag_rows_read_canonical_members():
     assert qrel.segment_flag_rows(points)(1, 2) != base.segment_flag_rows(points)(1, 2)
 
 
+def _compare_rows(rel, points):
+    """`outcome_rows` by its definition: one `compare` per pair."""
+    return [bytes(rel.compare(x, y).bit for y in points) for x in points]
+
+
+@st.composite
+def outcome_row_cases(draw):
+    """One to five utility rows, among them at times a zero row, a
+    constant row and a repeated row, with negative entries, over points of
+    the depth-2 triangle closure, a point at times repeated."""
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+    rows = draw(st.lists(st.one_of(
+        st.lists(entry, min_size=3, max_size=3),
+        entry.map(lambda c: [c] * 3),
+    ), min_size=1, max_size=5))
+    if len(rows) < 5 and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))
+    points = draw(st.lists(st.sampled_from(_TRIANGLE_CLOSURE), min_size=1, max_size=15))
+    return rows, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(outcome_row_cases())
+def test_multi_utility_outcome_rows_match_compare(case):
+    """Outcome rows read off sign codes are the outcomes of `compare`."""
+    rows, points = case
+    rel = MultiUtility(rows)
+    assert rel.outcome_rows(points) == _compare_rows(rel, points)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_split_outcome_rows_match_compare(depth):
+    """`split_hm` reads its outcome rows off its ranking column."""
+    entry = load_entry("split_hm")
+    universe = entry.universe
+    points = augment_points(entry.space, universe.points, universe.grid, depth)
+    assert entry.relation.outcome_rows(points) == _compare_rows(entry.relation, points)
+
+
+class _InconsistentAboveHalf(RelationModel):
+    """On [0, 1], points up to 1/2 are indifferent to one another and
+    others compare by value, except that 0 is above 1: deliberately
+    inconsistent, so 1/4 and its class representative 0 compare with 1
+    differently."""
+
+    kind = "inconsistent"
+
+    def __init__(self):
+        super().__init__(RealInterval(F(0), F(1)))
+
+    def compare(self, x, y):
+        a, b = x.coords[0], y.coords[0]
+        if {a, b} == {0, 1}:
+            a, b = b, a
+        return ComparisonOutcome.from_weak(a >= b or max(a, b) <= F(1, 2),
+                                           b >= a or max(a, b) <= F(1, 2))
+
+
+def test_quotient_outcome_rows_match_compare():
+    """A quotient's outcome rows are its base's on canonical members, for
+    every catalog entry whose quotient exists and for a base whose
+    comparisons tell class members apart."""
+    checked = set()
+    for eid in ENTRY_IDS:
+        entry = load_entry(eid)
+        universe = entry.universe
+        try:
+            qspace, qrel = quotient(entry.space, entry.relation, universe.points, universe.grid)
+        except QuotientError:
+            continue
+        points = AxiomEngine(qrel, Universe(qspace.representatives, universe.closure_depth,
+                                            universe.grid)).points
+        points += tuple(p for p in universe.points if p not in points)
+        assert qrel.outcome_rows(points) == _compare_rows(qrel, points), eid
+        checked.add(eid)
+    assert checked == set(ENTRY_IDS) - {"appx3", "flimsy_0_3"}
+    base = _InconsistentAboveHalf()
+    qspace, qrel = quotient(base.space, base, [pt(0), pt(1)])
+    points = [pt(0), pt(F(1, 4)), pt(1)]
+    assert qrel.outcome_rows(points) == _compare_rows(qrel, points)
+    assert qrel.outcome_rows(points) != base.outcome_rows(points)
+
+
+@pytest.mark.parametrize("eid", ENTRY_IDS)
+def test_engine_compare_reads_outcome_rows(eid):
+    """The engine answers every pair of universe points from the
+    relation's outcome rows, the same objects `compare` returns, and caches
+    no such pair one at a time."""
+    entry = load_entry(eid)
+    rel = entry.relation
+    engine = AxiomEngine(rel, entry.universe)
+    points = engine.points
+    assert rel.outcome_rows(points) == _compare_rows(rel, points)
+    for x, y in product(points, repeat=2):
+        assert engine.compare(x, y) is rel.compare(x, y)
+    assert not engine._cmp
+
+
 def test_default_flag_row_kernel_reads_partitions():
     entry = load_entry("star_cvx_not_cvx")
     rel = entry.relation

@@ -167,6 +167,16 @@ def _apply_quotient(space, relation, universe):
     return qspace, qrel, quniverse
 
 
+def _load_args_model(args):
+    """The relation, universe and echo of `args.model` under the command's
+    --grid and --closure-depth, quotiented when --quotient is given; the
+    echo is of the model as loaded."""
+    space, relation, universe, echo = load_model(args.model, args.grid, args.closure_depth)
+    if args.quotient:
+        _, relation, universe = _apply_quotient(space, relation, universe)
+    return relation, universe, echo
+
+
 def _emit(payload: dict, as_json: bool, pretty_lines) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -195,11 +205,7 @@ def _parse_expect(pairs) -> dict[str, str]:
 
 
 def cmd_axioms(args) -> int:
-    space, relation, universe, echo = load_model(
-        args.model, args.grid, args.closure_depth
-    )
-    if args.quotient:
-        space, relation, universe = _apply_quotient(space, relation, universe)
+    relation, universe, echo = _load_args_model(args)
     engine = AxiomEngine(relation, universe)
 
     wanted = args.axiom or [a.value for a in ALL_AXIOMS]
@@ -234,11 +240,7 @@ def cmd_axioms(args) -> int:
 def cmd_theorem(args) -> int:
     if args.theorem not in THEOREMS:
         raise ModelError(f"unknown theorem id: {args.theorem!r}")
-    space, relation, universe, echo = load_model(
-        args.model, args.grid, args.closure_depth
-    )
-    if args.quotient:
-        space, relation, universe = _apply_quotient(space, relation, universe)
+    relation, universe, echo = _load_args_model(args)
     reports = run_harness_all_variants(args.theorem, AxiomEngine(relation, universe))
     payload = {"model": echo, "reports": [r.to_json() for r in reports]}
     lines = []
@@ -254,11 +256,7 @@ def cmd_theorem(args) -> int:
 
 
 def cmd_represent(args) -> int:
-    space, relation, universe, echo = load_model(
-        args.model, args.grid, args.closure_depth
-    )
-    if args.quotient:
-        space, relation, universe = _apply_quotient(space, relation, universe)
+    relation, universe, echo = _load_args_model(args)
     engine = AxiomEngine(relation, universe)
 
     if args.anchors:

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import add, sub
+from operator import add, ge, le, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import intervals as iv
@@ -280,22 +280,36 @@ class RelationModel:
             self._segment_cache[key] = got
         return got
 
+    def _columns(self, points: Sequence[Point]) -> Optional[list[tuple[int, ...]]]:
+        """Integer utility columns of `points`, when the relation is "weakly
+        preferred iff no utility is lower" for mixture-affine utilities:
+        columns[p][u] = D[p][u], the u-th utility of point number p over one
+        positive common denominator.  None when it is not."""
+        return None
+
     def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
         """A function of point numbers (i, j) giving the flag words of
-        (points[i], points[j], z) for every z in `points`, in order; a
-        relation that can share work across a row overrides this."""
-        segment = self.segment
+        (points[i], points[j], z) for every z in `points`, in order: read
+        off sign codes when the relation has utility columns, else one
+        uncached `classify_segment` per triple."""
+        columns = self._columns(points)
+        if columns is not None:
+            return _sign_code_rows(columns)
+        classify = self.classify_segment
 
         def row(i: int, j: int) -> list:
             x, y = points[i], points[j]
-            return [segment(x, y, z).flags for z in points]
+            return [classify(x, y, z).flags for z in points]
 
         return row
 
     def outcome_rows(self, points: Sequence[Point]) -> list[bytes]:
         """Per point number i, the `bit` of the outcome of (points[i],
-        points[k]) for every k, in order; a relation that can read every
-        pair from shared work overrides this."""
+        points[k]) for every k, in order: read off sign codes when the
+        relation has utility columns, else one `compare` per pair."""
+        columns = self._columns(points)
+        if columns is not None:
+            return _sign_outcome_rows(columns)
         compare = self.compare
         return [bytes(compare(x, y).bit for y in points) for x in points]
 
@@ -313,9 +327,6 @@ def _over_common_denominator(values) -> tuple[int, tuple[int, ...]]:
 
 
 _GE_LO, _GE_HI, _LE_LO, _LE_HI = 1, 2, 4, 8
-# flag word by the tags of the cuts, in order: at most 6 cuts, each ge and
-# le end tagging one, so the table stays small
-_SHAPE_FLAGS: dict[tuple[int, ...], int] = {}
 
 
 def _integer_cuts(gaps) -> list:
@@ -376,21 +387,55 @@ def _merge_runs(weights: Sequence[Fraction], labels: Sequence[Label]) -> tuple:
     return tuple(pieces)
 
 
-def _cut_word(a: Iterable[int], b: Iterable[int]) -> int:
-    """Flag word of the partition cut by the integer gaps a[u]*lam + b[u].
+# Flag word by label sequence, in the order `_merge_runs` reads labels.
+# A sequence is either `_tag_labels` of at most six cuts (0, 1 and the
+# four ge/le ends), or a slice of one catalog target's labels, whose
+# length the entry's declared cut values bound: neither grows with the
+# universe, so the table stays small.
+_LABEL_WORDS: dict[tuple[Label, ...], int] = {}
 
-    Every flag bit is topological: it depends on the order of the cuts and
-    their tags, not on where they fall.  So a new shape (the tags of the
-    cuts, in order) is classified once, over the cuts k/m, by the same walk
-    `classify_segment` takes.
+
+def _label_word(labels: tuple[Label, ...]) -> int:
+    """Flag word of the partition with these cut and gap labels.
+
+    Every flag bit is topological: it depends on the order of the labels,
+    not on where the cuts fall.  So a new sequence is classified once, over
+    the cuts k/m.
     """
-    shape = tuple([cut[2] for cut in _integer_cuts(zip(a, b))])
-    got = _SHAPE_FLAGS.get(shape)
+    got = _LABEL_WORDS.get(labels)
     if got is None:
-        m = len(shape) - 1
-        canonical = [[k, m, tags] for k, tags in enumerate(shape)]
-        got = _SHAPE_FLAGS[shape] = LabeledPartition(MultiUtility._runs(canonical)).flags
+        m = len(labels) // 2
+        pieces = _merge_runs([Fraction(k, m) for k in range(m + 1)], labels)
+        got = _LABEL_WORDS[labels] = LabeledPartition(pieces).flags
     return got
+
+
+_PAIR_LABEL = {
+    (True, True): Label.INDIFFERENT,
+    (True, False): Label.STRICT_ABOVE,
+    (False, True): Label.STRICT_BELOW,
+    (False, False): Label.INCOMPARABLE,
+}
+
+
+def _tag_labels(tags: Iterable[int]) -> tuple[Label, ...]:
+    """The labels of the cuts of `_integer_cuts`, by their tags in order:
+    each cut, then the open gap after it (none after 1), labeled by its
+    ge/le membership."""
+    labels = []
+    in_ge = in_le = False
+    for tag in tags:
+        point_ge = in_ge or bool(tag & _GE_LO)
+        point_le = in_le or bool(tag & _LE_LO)
+        in_ge = point_ge and not tag & _GE_HI
+        in_le = point_le and not tag & _LE_HI
+        labels += (_PAIR_LABEL[point_ge, point_le], _PAIR_LABEL[in_ge, in_le])
+    return tuple(labels[:-1])
+
+
+def _cut_word(a: Iterable[int], b: Iterable[int]) -> int:
+    """Flag word of the partition cut by the integer gaps a[u]*lam + b[u]."""
+    return _label_word(_tag_labels([cut[2] for cut in _integer_cuts(zip(a, b))]))
 
 
 def _sign_codes(dots: Sequence[tuple[int, ...]]) -> list[list[int]]:
@@ -491,14 +536,6 @@ def _sign_code_rows(dots: Sequence[tuple[int, ...]]) -> Callable[[int, int], lis
     return row
 
 
-_PAIR_LABEL = {
-    (True, True): Label.INDIFFERENT,
-    (True, False): Label.STRICT_ABOVE,
-    (False, True): Label.STRICT_BELOW,
-    (False, False): Label.INCOMPARABLE,
-}
-
-
 class MultiUtility(RelationModel):
     """x is weakly preferred to y iff every utility agrees: u.x >= u.y."""
 
@@ -512,37 +549,8 @@ class MultiUtility(RelationModel):
         self.utilities = utils
         # each row times its positive common denominator: same comparisons
         self._rows = tuple(_over_common_denominator(u)[1] for u in utils)
-        self._scaled: dict[Point, tuple[int, tuple[int, ...]]] = {}
 
-    def _scaled_dots(self, p: Point) -> tuple[int, tuple[int, ...]]:
-        """(d, n) with n[i] / d the i-th scaled utility of p, d > 0."""
-        got = self._scaled.get(p)
-        if got is None:
-            den, nums = _over_common_denominator(p.coords)
-            got = den, tuple(sum(u * c for u, c in zip(row, nums)) for row in self._rows)
-            self._scaled[p] = got
-        return got
-
-    def compare(self, x: Point, y: Point) -> ComparisonOutcome:
-        (ex, nx), (ey, ny) = self._scaled_dots(x), self._scaled_dots(y)
-        gaps = [a * ey - b * ex for a, b in zip(nx, ny)]
-        return ComparisonOutcome.from_weak(
-            all(g >= 0 for g in gaps), all(g <= 0 for g in gaps)
-        )
-
-    def _cuts(self, x: Point, y: Point, z: Point) -> list:
-        """The sorted cuts of `_integer_cuts` for (x, y, z)."""
-        scaled = self._scaled_dots
-        (ex, nx), (ey, ny), (ez, nz) = scaled(x), scaled(y), scaled(z)
-        # the i-th utility of x`lam`y minus that of z is (a*lam + b) / (ex*ey*ez)
-        return _integer_cuts([((vx * ey - vy * ex) * ez, (vy * ez - vz * ey) * ex)
-                              for vx, vy, vz in zip(nx, ny, nz)])
-
-    def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
-        return LabeledPartition(self._runs(self._cuts(x, y, z)))
-
-    def _integer_dots(self, points: Sequence[Point]) -> list[tuple[int, ...]]:
-        """Every point's utilities, scaled by one common positive factor."""
+    def _columns(self, points: Sequence[Point]) -> list[tuple[int, ...]]:
         den = lcm(*(c.denominator for p in points for c in p.coords))
         return [
             tuple(sum(u * c.numerator * (den // c.denominator)
@@ -550,28 +558,16 @@ class MultiUtility(RelationModel):
             for p in points
         ]
 
-    def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
-        return _sign_code_rows(self._integer_dots(points))
+    def compare(self, x: Point, y: Point) -> ComparisonOutcome:
+        dx, dy = self._columns((x, y))
+        return ComparisonOutcome.from_weak(all(map(ge, dx, dy)), all(map(le, dx, dy)))
 
-    def outcome_rows(self, points: Sequence[Point]) -> list[bytes]:
-        # compare(x, y) is a function of the sign code of (x, y)
-        return _sign_outcome_rows(self._integer_dots(points))
-
-    @staticmethod
-    def _runs(cuts: list) -> tuple:
-        """Maximal same-label runs over the sorted cuts: each cut point and
-        each open gap between cuts is labeled by its ge/le membership."""
-        labels = []
-        in_ge = in_le = False
-        for _, _, tags in cuts:
-            point_ge = in_ge or bool(tags & _GE_LO)
-            point_le = in_le or bool(tags & _LE_LO)
-            in_ge = point_ge and not tags & _GE_HI
-            in_le = point_le and not tags & _LE_HI
-            # the point, then the open gap after it (none after 1)
-            labels += (_PAIR_LABEL[point_ge, point_le], _PAIR_LABEL[in_ge, in_le])
+    def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
+        dx, dy, dz = self._columns((x, y, z))
+        # the u-th utility of x`lam`y minus that of z is (a*lam + b) / d
+        cuts = _integer_cuts(zip(map(sub, dx, dy), map(sub, dy, dz)))
         weights = [iv.ZERO] + [Fraction(num, den) for num, den, _ in cuts[1:-1]] + [iv.ONE]
-        return _merge_runs(weights, labels[:-1])
+        return LabeledPartition(_merge_runs(weights, _tag_labels([cut[2] for cut in cuts])))
 
     def descriptor(self) -> dict:
         return {
@@ -661,28 +657,21 @@ class CatalogPiecewise(RelationModel):
     def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
         return LabeledPartition(_merge_runs(*self._cut_labels(x, y, z)))
 
-    def _ranking_column(self, points: Sequence[Point]) -> list[tuple[int]]:
-        """v of every point, scaled by one common positive factor."""
+    def _columns(self, points: Sequence[Point]) -> Optional[list[tuple[int]]]:
+        if self.ranking is None:
+            return None
+        # compare ranks by v: one utility, the column v
         _, column = _over_common_denominator([self.ranking(p) for p in points])
         return [(v,) for v in column]
 
-    def outcome_rows(self, points: Sequence[Point]) -> list[bytes]:
-        if self.ranking is None:
-            return super().outcome_rows(points)
-        # compare ranks by v: the outcomes of one utility, the column v
-        return _sign_outcome_rows(self._ranking_column(points))
-
     def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
-        if self.ranking is not None:
-            # the oracle's words are those of one utility, the column v
-            return _sign_code_rows(self._ranking_column(points))
         # On an interval, x`lam`y is the point lam*x0 + (1-lam)*y0, so the
         # partition of (x, y, z) is that of the full segment (hi, lo, z) on
         # the weights between those of x0 and y0, rescaled.  Every flag bit
         # is topological and mirror invariant, so the word depends only on
         # the full segment's labels (cuts and open gaps) over that slice.
         space = self.space
-        if not isinstance(space, RealInterval):
+        if self.ranking is not None or not isinstance(space, RealInterval):
             return super().segment_flag_rows(points)
         top, bottom, width = pt(space.hi), pt(space.lo), space.hi - space.lo
         at = [(p.coords[0] - space.lo) / width for p in points]
@@ -696,20 +685,6 @@ class CatalogPiecewise(RelationModel):
                 k = bisect_left(weights, w)
                 pos.append(2 * k if weights[k] == w else 2 * k - 1)
             targets.append((pos, labels, {}))
-        words: dict[tuple[Label, ...], int] = {}
-
-        def word(labels: tuple, a: int, b: int) -> int:
-            if a == b:
-                key = (labels[a],) * 3
-            else:
-                # an end inside a gap takes the gap's label as its point label
-                key = (labels[a],) * (a & 1) + labels[a:b + 1] + (labels[b],) * (b & 1)
-            got = words.get(key)
-            if got is None:
-                m = len(key) // 2
-                pieces = _merge_runs([Fraction(k, m) for k in range(m + 1)], key)
-                got = words[key] = LabeledPartition(pieces).flags
-            return got
 
         def row(i: int, j: int) -> list:
             out = []
@@ -719,7 +694,10 @@ class CatalogPiecewise(RelationModel):
                     a, b = b, a
                 got = seen.get((a, b))
                 if got is None:
-                    got = seen[a, b] = word(labels, a, b)
+                    # an end inside a gap takes the gap's label as its point label
+                    got = seen[a, b] = _label_word(
+                        (labels[a],) * 3 if a == b else
+                        (labels[a],) * (a & 1) + labels[a:b + 1] + (labels[b],) * (b & 1))
                 out.append(got)
             return out
 

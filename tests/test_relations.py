@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from prefcheck import intervals as iv
 from prefcheck.axioms import AxiomEngine, Universe
 from prefcheck.catalog import ENTRY_IDS, load_entry
+from prefcheck.generate import fuzz_corpus
 from prefcheck.intervals import FULL, OPEN_UNIT, Interval, interval, point, union
 from prefcheck.quadratic import quad_pt
 from prefcheck.relations import (
@@ -671,6 +672,52 @@ def test_default_flag_row_kernel_reads_partitions():
     row = rel.segment_flag_rows(points)
     for i, j in product(range(len(points)), repeat=2):
         assert row(i, j) == [rel.segment(points[i], points[j], p).flags for p in points]
+
+
+def test_default_flag_row_kernel_caches_no_partition():
+    """The default row loop classifies each triple afresh: on a freshly
+    built relation (not the cached entry other tests share) it leaves the
+    segment cache empty."""
+    entry = load_entry.__wrapped__("star_cvx_not_cvx")
+    rel = entry.relation
+    points = AxiomEngine(rel, entry.universe).points
+    row = rel.segment_flag_rows(points)
+    for i, j in product(range(len(points)), repeat=2):
+        row(i, j)
+    assert not rel._segment_cache
+
+
+def _fuzz_instance():
+    _, rel, universe = next(islice(fuzz_corpus(3, seed=1), 2, None))
+    return rel, AxiomEngine(rel, universe).points
+
+
+def _split_instance():
+    entry = load_entry("split_hm")
+    return entry.relation, AxiomEngine(entry.relation, entry.universe).points
+
+
+@pytest.mark.parametrize("make", [_fuzz_instance, _split_instance])
+def test_column_rows_call_no_compare_or_classify_segment(make, monkeypatch):
+    """A relation with utility columns reads both tables off sign codes:
+    with `compare` and `classify_segment` raising, its outcome and flag
+    rows are those it gave before."""
+    rel, points = make()
+    n = len(points)
+
+    def tables():
+        row = rel.segment_flag_rows(points)
+        flags = [row(i, j) for i, j in product(range(n), repeat=2)]
+        return rel.outcome_rows(points), flags
+
+    want = tables()
+
+    def refuse(*_):
+        raise AssertionError("read off sign codes, not per pair or triple")
+
+    for name in ("compare", "classify_segment"):
+        monkeypatch.setattr(type(rel), name, refuse)
+    assert tables() == want
 
 
 INTERVAL_ENTRIES = [eid for eid in ENTRY_IDS

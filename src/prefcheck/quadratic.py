@@ -44,9 +44,6 @@ class QuadRat:
         return QuadRat(Fraction(value))
 
     @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def sign(self) -> int:
         return quad_sign(self.a, self.b)
 

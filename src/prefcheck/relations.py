@@ -7,7 +7,6 @@ the unit interval.  All section sets are read off that partition.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -17,8 +16,8 @@ from operator import add, ge, le, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import intervals as iv
-from .intervals import EMPTY, FULL, Interval, SectionSet
-from .spaces import CarrierError, MixtureSpace, Point, RealInterval, Simplex, pt
+from .intervals import Interval, SectionSet
+from .spaces import CarrierError, MixtureSpace, Point, RealInterval, Simplex
 
 
 class ComparisonOutcome(Enum):
@@ -191,64 +190,6 @@ class LabeledPartition:
         return LabeledPartition(flipped)
 
 
-def assemble_partition(sections: dict[Label, SectionSet]) -> LabeledPartition:
-    """Build and validate a partition from per-label section sets."""
-    pieces = []
-    for label, sec in sections.items():
-        for piece in sec.intervals:
-            pieces.append((piece, label))
-    pieces.sort(key=lambda item: (item[0].lo, not item[0].lo_closed))
-    return LabeledPartition(tuple(pieces))
-
-
-# ---------------------------------------------------------------------------
-# Affine regions in the weight variable: {lam in [0,1] : a*lam + b  op  c}
-# ---------------------------------------------------------------------------
-
-
-def affine_ge(a: Fraction, b: Fraction, c: Fraction, strict: bool = False) -> SectionSet:
-    if a == 0:
-        return FULL if (b > c if strict else b >= c) else EMPTY
-    t = (c - b) / a
-    if a > 0:  # lam >(=) t
-        if strict:
-            if t < 0:
-                return FULL
-            if t >= 1:
-                return EMPTY
-            return iv.interval(t, 1, False, True)
-        if t <= 0:
-            return FULL
-        if t > 1:
-            return EMPTY
-        return iv.interval(t, 1)
-    # a < 0: lam <(=) t
-    if strict:
-        if t > 1:
-            return FULL
-        if t <= 0:
-            return EMPTY
-        return iv.interval(0, min(t, iv.ONE), True, False)
-    if t >= 1:
-        return FULL
-    if t < 0:
-        return EMPTY
-    return iv.interval(0, t)
-
-
-def affine_le(a: Fraction, b: Fraction, c: Fraction, strict: bool = False) -> SectionSet:
-    return affine_ge(-a, -b, -c, strict)
-
-
-def affine_eq(a: Fraction, b: Fraction, c: Fraction) -> SectionSet:
-    if a == 0:
-        return FULL if b == c else EMPTY
-    t = (c - b) / a
-    if 0 <= t <= 1:
-        return iv.point(t)
-    return EMPTY
-
-
 # ---------------------------------------------------------------------------
 # Relation models
 # ---------------------------------------------------------------------------
@@ -292,9 +233,11 @@ class RelationModel:
         (points[i], points[j], z) for every z in `points`, in order: read
         off sign codes when the relation has utility columns, else one
         uncached `classify_segment` per triple."""
-        columns = self._columns(points)
-        if columns is not None:
-            return _sign_code_rows(columns)
+        dots = self._columns(points)
+        if dots is not None:
+            lines = [tuple(enumerate(d)) for d in dots]  # one per utility, at D[k][u]
+            return _line_rows(dots, lines, _line_codes(dots, lines), lambda i, j, k: _cut_word(
+                map(sub, dots[i], dots[j]), map(sub, dots[j], dots[k])))
         classify = self.classify_segment
 
         def row(i: int, j: int) -> list:
@@ -389,9 +332,9 @@ def _merge_runs(weights: Sequence[Fraction], labels: Sequence[Label]) -> tuple:
 
 # Flag word by label sequence, in the order `_merge_runs` reads labels.
 # A sequence is either `_tag_labels` of at most six cuts (0, 1 and the
-# four ge/le ends), or a slice of one catalog target's labels, whose
-# length the entry's declared cut values bound: neither grows with the
-# universe, so the table stays small.
+# four ge/le ends), or the cell labels along one catalog segment, with at
+# most one cut per declared value: neither grows with the universe, so
+# the table stays small.
 _LABEL_WORDS: dict[tuple[Label, ...], int] = {}
 
 
@@ -438,27 +381,27 @@ def _cut_word(a: Iterable[int], b: Iterable[int]) -> int:
     return _label_word(_tag_labels([cut[2] for cut in _integer_cuts(zip(a, b))]))
 
 
-def _sign_codes(dots: Sequence[tuple[int, ...]]) -> list[list[int]]:
+def _line_codes(feats: Sequence[tuple[int, ...]], lines: Sequence[tuple]) -> list[tuple[int, ...]]:
     """The sign code of every pair of point numbers (i, k), as codes[i][k]:
-    one base-3 digit per utility u, 1 + sign(D[i][u] - D[k][u]), for the
-    integer utility columns dots[p][u] = D[p][u] over one denominator."""
-    columns = list(zip(*dots))
-    codes = []
-    for di in dots:
-        code = [0] * len(dots)
-        for u, (vi, column) in enumerate(zip(di, columns)):
-            w = 3 ** u
-            code = [c + w * (1 + (vi > vk) - (vi < vk)) for c, vk in zip(code, column)]
-        codes.append(code)
-    return codes
+    one base-3 digit per line (f, c) of target k, lines[k], in order,
+    1 + sign(feats[i][f] - c), for integer features and line values."""
+    columns = list(zip(*feats))
+    by_target = []
+    for lk in lines:
+        code, w = [0] * len(feats), 1
+        for f, c in lk:
+            code = [d + w * (1 + (v > c) - (v < c)) for d, v in zip(code, columns[f])]
+            w *= 3
+        by_target.append(code)
+    return list(zip(*by_target))
 
 
 def _sign_outcome_rows(dots: Sequence[tuple[int, ...]]) -> list[bytes]:
     """`RelationModel.outcome_rows` of the relation "weakly preferred iff no
-    utility is lower", over integer utility columns as for `_sign_codes`:
-    weakly better iff no digit of the sign code is 0, weakly worse iff none
-    is 2."""
-    codes = _sign_codes(dots)
+    utility is lower", over integer utility columns dots[p][u] = D[p][u],
+    with one line per utility u at D[k][u] for target k: weakly better iff
+    no digit of the sign code is 0, weakly worse iff none is 2."""
+    codes = _line_codes(dots, [tuple(enumerate(d)) for d in dots])
     # one entry per distinct code met, at most n^2 of them
     bits: dict[int, int] = {}
     for code in set().union(*codes):
@@ -470,66 +413,62 @@ def _sign_outcome_rows(dots: Sequence[tuple[int, ...]]) -> list[bytes]:
     return [bytes(map(bits.__getitem__, code)) for code in codes]
 
 
-def _sign_code_rows(dots: Sequence[tuple[int, ...]]) -> Callable[[int, int], list]:
-    """The flag-row kernel over integer utility columns: dots[p][u] = D[p][u]
-    is the u-th utility of point number p, all over one denominator d > 0.
-
-    The u-th utility of x`lam`y minus that of z is g_u(lam) = (a*lam + b) / d
-    with a = D[x] - D[y] and b = D[y] - D[z], so the word of (x, y, z) is
-    `_cut_word(a, b)`.  `row(i, j)` gives the words of (i, j, k) for every k,
-    read through keys that recur across rows.
+def _line_rows(feats: Sequence[tuple[int, ...]], lines: Sequence[tuple],
+               codes: Sequence[Sequence[int]],
+               word_of: Callable[[int, int, int], int]) -> Callable[[int, int], list]:
+    """The flag-row kernel over integer lines: target k has the lines
+    lines[k], pairs (f, c) whose gap at point number p is feats[p][f] - c,
+    affine in lam along x`lam`y since every feature is mixture-affine.
+    codes[i][k] is `_line_codes` of (i, k), plus k unless the word depends
+    on the gaps' signs and crossing order alone and no target has two lines
+    on one feature.  `word_of(i, j, k)` gives the word of a new key, and
+    `row(i, j)` the words of (i, j, k) for every k.
     """
-    # Target k of row (i, j) is keyed by the sign codes of (i, k) and
-    # (j, k), the signs of every g_u at lam = 1 and lam = 0.
-    # Those fix where each g_u is positive, zero or negative on [0, 1],
-    # up to where it crosses zero inside (0, 1), which it does only when
-    # the two signs are strictly opposite.  With at most one such
-    # utility, every ge and le end lies in {0, t, 1}, in a fixed order:
-    # the cut tags, and so the flag word, are a function of the key.
-    codes = _sign_codes(dots)
-    scale = 3 ** len(dots[0])
+    # Target k of row (i, j) is keyed by codes[i][k] and codes[j][k], the
+    # signs of every gap at lam = 1 and lam = 0.  They fix each gap's sign
+    # on [0, 1] except where it crosses zero inside (0, 1), at
+    # t = g0 / (g0 - g1) for its gaps g0 at lam = 0 and g1 at lam = 1, so
+    # the word is a function of the key and the order of those crossings.
+    # For lines l and m, sign(g0_l*g1_m - g0_m*g1_l) is
+    # sign((g0_l - g1_l)*(g0_m - g1_m)) * sign(t_m - t_l), and the key
+    # fixes the first factor.  On one feature f, at values c and e, the
+    # left side is (c - e)*(feats[j][f] - feats[i][f]), which k and the key
+    # fix.  A key with crossings on two features maps to its crossing pairs
+    # on distinct features, and its targets get one balanced base-3 digit
+    # per pair, that sign: the key fixes how many.
+    scale = 1 + max(map(max, codes), default=0)
     high = [[c * scale for c in code] for code in codes]
     memo: dict[int, int] = {}
-    # With two or more, say u and v, the order of their crossings
-    # t_u = -b_u / a_u matters.  Such a key maps to its crossing pairs
-    # (u, v) instead, and its targets get one more digit per pair,
-    # sign(b_u * a_v - b_v * a_u) = sign(a_u * a_v) * sign(t_v - t_u).
-    # The key fixes sign(a_u * a_v), so the digits fix the order of all
-    # interior crossings, ties included, and so every ge and le end's
-    # place among {0, crossings, 1}: the word is a function of the key
-    # and its digits.  The digits are read in balanced base 3, which is
-    # injective since the key fixes how many pairs there are.
     crossing_pairs: dict[int, tuple] = {}
     ordered: dict[tuple[int, int], int] = {}
 
     def row(i: int, j: int) -> list:
-        dj = dots[j]
-        a = list(map(sub, dots[i], dj))
+        fi, fj = feats[i], feats[j]
         keys = list(map(add, high[i], codes[j]))
         out = list(map(memo.get, keys))
         for k, word in enumerate(out):
             if word is not None:
                 continue
-            key, dk = keys[k], dots[k]
+            key, lk = keys[k], lines[k]
             pairs = crossing_pairs.get(key)
             if pairs is None:
+                crossing = [l for l, (f, c) in enumerate(lk) if (fi[f] - c) * (fj[f] - c) < 0]
+                pairs = crossing_pairs[key] = tuple(
+                    (l, m) for l, m in combinations(crossing, 2) if lk[l][0] != lk[m][0])
+            if not pairs:
                 word = memo.get(key)  # a first miss earlier in this row
                 if word is None:
-                    b = list(map(sub, dj, dk))
-                    crossing = [u for u, (au, bu) in enumerate(zip(a, b))
-                                if (au + bu) * bu < 0]
-                    if len(crossing) < 2:
-                        word = memo[key] = _cut_word(a, b)
-                    else:
-                        pairs = crossing_pairs[key] = tuple(combinations(crossing, 2))
-            if pairs is not None:
+                    word = memo[key] = word_of(i, j, k)
+            else:
                 digits = 0
-                for u, v in pairs:
-                    d = (dj[u] - dk[u]) * a[v] - (dj[v] - dk[v]) * a[u]
+                for l, m in pairs:
+                    f, c = lk[l]
+                    g, e = lk[m]
+                    d = (fj[f] - c) * (fi[g] - e) - (fj[g] - e) * (fi[f] - c)
                     digits = 3 * digits + (d > 0) - (d < 0)
                 word = ordered.get((key, digits))
                 if word is None:
-                    word = ordered[key, digits] = _cut_word(a, map(sub, dj, dk))
+                    word = ordered[key, digits] = word_of(i, j, k)
             out[k] = word
         return out
 
@@ -622,7 +561,6 @@ class CatalogPiecewise(RelationModel):
         self.entry_id = entry_id
         self._compare = compare_fn
         self._cuts = cuts
-        self._cut_values: dict[Point, tuple] = {}
         self.ranking = ranking
 
     def compare(self, x: Point, y: Point) -> ComparisonOutcome:
@@ -635,11 +573,8 @@ class CatalogPiecewise(RelationModel):
         """The cut weights of (x, y, z), 0 and 1 included, and its labels:
         labels[2k] at the cut weights[k], labels[2k + 1] on the open gap
         after it."""
-        values = self._cut_values.get(z)
-        if values is None:
-            values = self._cut_values[z] = tuple(tuple(v) for v in self._cuts(z))
         roots = set()
-        for a, b, at in zip(self._features(x), self._features(y), values):
+        for a, b, at in zip(self._features(x), self._features(y), self._cuts(z)):
             # the feature of x`lam`y is b + lam*(a - b): it meets c inside
             # (0,1) exactly when c lies strictly between b and a
             lo, hi = (a, b) if a < b else (b, a)
@@ -665,43 +600,52 @@ class CatalogPiecewise(RelationModel):
         return [(v,) for v in column]
 
     def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
-        # On an interval, x`lam`y is the point lam*x0 + (1-lam)*y0, so the
-        # partition of (x, y, z) is that of the full segment (hi, lo, z) on
-        # the weights between those of x0 and y0, rescaled.  Every flag bit
-        # is topological and mirror invariant, so the word depends only on
-        # the full segment's labels (cuts and open gaps) over that slice.
-        space = self.space
-        if self.ranking is not None or not isinstance(space, RealInterval):
+        # The features are the coordinates, and target k's lines are its
+        # declared values: the line kernel over one denominator, with k in
+        # the codes since the labels of the cells depend on the target.
+        if self.ranking is not None:
             return super().segment_flag_rows(points)
-        top, bottom, width = pt(space.hi), pt(space.lo), space.hi - space.lo
-        at = [(p.coords[0] - space.lo) / width for p in points]
-        targets = []
-        for z in points:
-            # a point's position is 2k on the cut k and 2k - 1 inside the
-            # gap before it, so the slice is labels[a:b + 1]
-            weights, labels = self._cut_labels(top, bottom, z)
-            pos = []
-            for w in at:
-                k = bisect_left(weights, w)
-                pos.append(2 * k if weights[k] == w else 2 * k - 1)
-            targets.append((pos, labels, {}))
+        values = [[tuple(at) for at in self._cuts(z)] for z in points]
+        den = lcm(*(v.denominator for p in points for v in p.coords),
+                  *(c.denominator for cz in values for at in cz for c in at))
+        feats = [tuple(int(v * den) for v in p.coords) for p in points]
+        lines = [tuple((f, int(c * den)) for f, at in enumerate(cz) for c in at) for cz in values]
+        width = 3 ** max(map(len, lines), default=0)
+        codes = [[c + k * width for k, c in enumerate(code)] for code in _line_codes(feats, lines)]
+        mix, compare = self.space.mix, self._compare
+        known: list[dict[int, Label]] = [{} for _ in points]  # per target, by cell
 
-        def row(i: int, j: int) -> list:
-            out = []
-            for pos, labels, seen in targets:
-                a, b = pos[i], pos[j]
-                if b < a:
-                    a, b = b, a
-                got = seen.get((a, b))
-                if got is None:
-                    # an end inside a gap takes the gap's label as its point label
-                    got = seen[a, b] = _label_word(
-                        (labels[a],) * 3 if a == b else
-                        (labels[a],) * (a & 1) + labels[a:b + 1] + (labels[b],) * (b & 1))
-                out.append(got)
-            return out
+        def word_of(i: int, j: int, k: int) -> int:
+            x, y, fi, fj = points[i], points[j], feats[i], feats[j]
+            ends = [(fj[f] - c, fi[f] - c) for f, c in lines[k]]  # gaps at lam = 0, 1
+            at = [Fraction(g0, g0 - g1) if g0 * g1 < 0 else None for g0, g1 in ends]
+            weights = [iv.ZERO, *sorted({t for t in at if t is not None}), iv.ONE]
+            # The cell of each cut and of the open gap after it, in
+            # `_merge_runs` order: one base-3 digit per line, 1 + the sign of
+            # its gap there.  Inside (0, 1) a gap has the sign of g0 + g1
+            # unless it crosses zero at t: then that of g0 before t, g1 after.
+            last = 2 * len(weights) - 2
+            cells = [0] * (last + 1)
+            for (g0, g1), t in zip(ends, at):
+                s0, s1 = 1 + (g0 > 0) - (g0 < 0), 1 + (g1 > 0) - (g1 < 0)
+                if t is None:
+                    digits = [s0] + [1 + (g0 + g1 > 0) - (g0 + g1 < 0)] * (last - 1) + [s1]
+                else:
+                    cut = 2 * weights.index(t)
+                    digits = [s0] * cut + [1] + [s1] * (last - cut)
+                cells = [3 * cell + d for cell, d in zip(cells, digits)]
+            labels, seen = [], known[k]
+            for e, cell in enumerate(cells):
+                label = seen.get(cell)
+                if label is None:  # label the cell at an end, a cut or a gap's middle
+                    lo = weights[e >> 1]
+                    p = (y if e == 0 else x if e == last else
+                         mix(x, (lo + weights[(e >> 1) + 1]) / 2 if e & 1 else lo, y))
+                    label = seen[cell] = OUTCOME_TO_LABEL[compare(p, points[k])]
+                labels.append(label)
+            return _label_word(tuple(labels))
 
-        return row
+        return _line_rows(feats, lines, codes, word_of)
 
     def descriptor(self) -> dict:
         return {"kind": "catalog", "id": self.entry_id}

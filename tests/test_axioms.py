@@ -37,11 +37,12 @@ from prefcheck.relations import (
     MultiUtility,
     PointwiseOnly,
     RelationModel,
-    assemble_partition,
     flag_bit,
 )
 from prefcheck.spaces import Point, RealInterval, pt
 from prefcheck.verdicts import Status
+
+from affine_regions import assemble_partition
 
 F = Fraction
 

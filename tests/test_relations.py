@@ -30,10 +30,6 @@ from prefcheck.relations import (
     OUTCOME_TO_LABEL,
     PartitionError,
     RelationModel,
-    affine_eq,
-    affine_ge,
-    affine_le,
-    assemble_partition,
     classify_segment,
     compare,
     flag_bit,
@@ -50,6 +46,8 @@ from prefcheck.spaces import (
     pt,
     quotient,
 )
+
+from affine_regions import affine_eq, affine_ge, affine_le, assemble_partition
 
 F = Fraction
 
@@ -666,9 +664,10 @@ def test_engine_compare_reads_outcome_rows(eid):
 
 
 def test_default_flag_row_kernel_reads_partitions():
-    entry = load_entry("star_cvx_not_cvx")
-    rel = entry.relation
-    points = AxiomEngine(rel, entry.universe).points
+    """A relation with neither utility columns nor declared cuts reads its
+    rows off `classify_segment`, one triple at a time."""
+    rel = _AllIndifferent()
+    points = AxiomEngine(load_entry("appx1").relation, load_entry("appx1").universe).points
     row = rel.segment_flag_rows(points)
     for i, j in product(range(len(points)), repeat=2):
         assert row(i, j) == [rel.segment(points[i], points[j], p).flags for p in points]
@@ -676,11 +675,9 @@ def test_default_flag_row_kernel_reads_partitions():
 
 def test_default_flag_row_kernel_caches_no_partition():
     """The default row loop classifies each triple afresh: on a freshly
-    built relation (not the cached entry other tests share) it leaves the
-    segment cache empty."""
-    entry = load_entry.__wrapped__("star_cvx_not_cvx")
-    rel = entry.relation
-    points = AxiomEngine(rel, entry.universe).points
+    built relation it leaves the segment cache empty."""
+    rel = _AllIndifferent()
+    points = AxiomEngine(load_entry("appx1").relation, load_entry("appx1").universe).points
     row = rel.segment_flag_rows(points)
     for i, j in product(range(len(points)), repeat=2):
         row(i, j)
@@ -697,13 +694,29 @@ def _split_instance():
     return entry.relation, AxiomEngine(entry.relation, entry.universe).points
 
 
-@pytest.mark.parametrize("make", [_fuzz_instance, _split_instance])
+def _star_instance():
+    entry = load_entry("star_cvx_not_cvx")
+    return entry.relation, AxiomEngine(entry.relation, entry.universe).points
+
+
+def _flimsy_instance():
+    entry = load_entry("flimsy_0_3")
+    return entry.relation, AxiomEngine(entry.relation, entry.universe).points
+
+
+@pytest.mark.parametrize("make", [_fuzz_instance, _split_instance, _star_instance,
+                                  _flimsy_instance])
 def test_column_rows_call_no_compare_or_classify_segment(make, monkeypatch):
     """A relation with utility columns reads both tables off sign codes:
     with `compare` and `classify_segment` raising, its outcome and flag
-    rows are those it gave before."""
+    rows are those it gave before.  A relation that declares cuts reads its
+    flag rows off the line kernel, whose cells it labels by its comparator:
+    with `classify_segment` raising, they are those it gave before."""
     rel, points = make()
     n = len(points)
+    refused = ["classify_segment"]
+    if rel._columns(points) is not None:
+        refused.append("compare")
 
     def tables():
         row = rel.segment_flag_rows(points)
@@ -715,7 +728,7 @@ def test_column_rows_call_no_compare_or_classify_segment(make, monkeypatch):
     def refuse(*_):
         raise AssertionError("read off sign codes, not per pair or triple")
 
-    for name in ("compare", "classify_segment"):
+    for name in refused:
         monkeypatch.setattr(type(rel), name, refuse)
     assert tables() == want
 
@@ -726,8 +739,9 @@ INTERVAL_ENTRIES = [eid for eid in ENTRY_IDS
 
 @pytest.mark.parametrize("entry_id", INTERVAL_ENTRIES)
 def test_interval_flag_row_kernel_matches_oracle(entry_id):
-    """On an interval carrier the row kernel reads every word off one full
-    segment per target; each must be the oracle's own word for the triple."""
+    """On an interval carrier the line kernel has one feature, so no key
+    has crossing digits; each word must be the oracle's own for the
+    triple."""
     rel = load_entry(entry_id).relation
     points = AxiomEngine(rel, load_entry(entry_id).universe).points
     row = rel.segment_flag_rows(points)
@@ -790,11 +804,60 @@ def interval_relations(draw):
 @settings(max_examples=300, deadline=None)
 @given(interval_relations())
 def test_interval_flag_row_kernel_matches_reference(case):
-    """The derived oracle and the interval row kernel both match a reference
-    built from affine regions and interval-set algebra alone."""
+    """The derived oracle and the line kernel both match a reference built
+    from affine regions and interval-set algebra alone."""
     rel, oracle, points = case
     row = rel.segment_flag_rows(points)
     for i, j in product(range(len(points)), repeat=2):
         want = [oracle(points[i], points[j], z) for z in points]
         assert [rel.classify_segment(points[i], points[j], z) for z in points] == want
         assert row(i, j) == [part.flags for part in want]
+
+
+@pytest.mark.parametrize("depth, limit", [(1, None), (2, 40)])
+def test_star_flag_rows_match_oracle(depth, limit):
+    """`star_cvx_not_cvx` declares two values per coordinate, so the line
+    kernel meets keys whose crossings lie on two coordinates and reads
+    them by their crossing-order digits: every triple at depth 1, and the
+    first 40 points of depth 2."""
+    entry = load_entry("star_cvx_not_cvx")
+    universe = entry.universe
+    points = augment_points(entry.space, universe.points, universe.grid, depth)[:limit]
+    _assert_rows_match_classify_segment(entry.relation, points)
+
+
+@st.composite
+def simplex_relations(draw):
+    """The twin of `interval_relations` on the triangle: thresholds on each
+    coordinate cut its values into classes, and how a point compares with
+    z is drawn per (classes of z, classes of the point), on first use.
+    Returns the relation, which declares the thresholds as its cuts, and
+    some points, at times on a threshold."""
+    cuts = [sorted(set(draw(st.lists(st.fractions(0, 1, max_denominator=4), max_size=2))))
+            for _ in range(3)]
+    rnd = draw(st.randoms(use_true_random=False))
+    table = {}
+
+    def classes(p):
+        return tuple(2 * sum(1 for t in at if t < v) + (v in at)
+                     for v, at in zip(p.coords, cuts))
+
+    def compare_fn(u, z):
+        key = classes(z), classes(u)
+        if key not in table:
+            table[key] = rnd.choice(list(ComparisonOutcome))
+        return table[key]
+
+    points = draw(st.lists(st.one_of(st.sampled_from(_TRIANGLE_CLOSURE), simplex_points(3)),
+                           min_size=1, max_size=6))
+    return CatalogPiecewise("random", Simplex(3), compare_fn, lambda z: cuts), points
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplex_relations())
+def test_simplex_flag_row_kernel_matches_oracle(case):
+    """With lines on three coordinates, crossing digits read keys whose
+    crossings lie on two coordinates; the kernel's rows are the words of
+    `classify_segment` on every triple."""
+    rel, points = case
+    _assert_rows_match_classify_segment(rel, points)

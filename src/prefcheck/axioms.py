@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Union
 
 from . import intervals as iv
@@ -30,7 +31,8 @@ from .relations import (
     RelationModel,
     flag_bit,
 )
-from .spaces import DEFAULT_GRID, MixTable, Point, augment_points, point_to_json
+from .spaces import (DEFAULT_GRID, MixTable, Point, augment_points, closure_table,
+                     point_to_json)
 from .verdicts import AxiomVerdict, Status
 
 
@@ -119,6 +121,8 @@ _ANY = sum(outcome.bit for outcome in ComparisonOutcome)
 NOT_WEAK = _ANY & ~WEAK
 NOT_STRICT = _ANY & ~STRICT
 _OUTCOME_OF_BIT = {outcome.bit: outcome for outcome in ComparisonOutcome}
+# whether two mixtures are equivalent, as a byte: 0 is not yet known
+_SAME, _OTHER = 1, 2
 
 # marks are ASCII digits, so a row of them reversed is the binary numeral of
 # the int whose bit k is mark k
@@ -256,7 +260,8 @@ class AxiomEngine:
       while at most 256 words are known, and a list after that;
     - mixtures: a `MixTable` that numbers `points` first, in order, so
       that point i of the engine is point i of the table and each new
-      mixture is numbered after them.
+      mixture is numbered after them.  With a closure depth it is the
+      table that closed the universe.
     """
 
     def __init__(self, rel: RelationModel, universe: Universe):
@@ -264,12 +269,17 @@ class AxiomEngine:
         self.space = rel.space
         self.universe = universe
         self.grid = tuple(universe.grid)
-        self.points = augment_points(
-            self.space, universe.points, universe.grid, universe.closure_depth
-        )
+        # a closure is the prefix of the table that mixed it; without one
+        # the table waits for the first scan that mixes
+        self._mixtures: Optional[MixTable] = None
+        if universe.closure_depth > 0:
+            self._mixtures = closure_table(
+                self.space, universe.points, self.grid, universe.closure_depth)
+            self.points = self._mixtures.points[:]
+        else:
+            self.points = augment_points(self.space, universe.points, self.grid, 0)
         self._n = len(self.points)
         self._index = {p: i for i, p in enumerate(self.points)}
-        self._mixtures: Optional[MixTable] = None
         self._cmp: dict[tuple[Point, Point], ComparisonOutcome] = {}
         self._outcomes: Optional[tuple[list[bytes], list[bytes]]] = None
         self._outcome_rows: dict[tuple[int, bool], list[int]] = {}
@@ -285,7 +295,8 @@ class AxiomEngine:
     # -- mixtures -------------------------------------------------------------
 
     def mix_table(self) -> MixTable:
-        """The engine's mixture table, built at the first call that mixes.
+        """The engine's mixture table: the one that closed the universe, or
+        else one built at the first call that mixes.
 
         Table number i is `points[i]`, so scans mix by point number."""
         if self._mixtures is None:
@@ -668,22 +679,46 @@ class AxiomEngine:
                 note="exact: utility gaps scale linearly in the mixing weight",
             )
         table = self.mix_table()
-        mix, pts, n = table.mix, table.points, self._n
+        n, mixed = self._n, table.points
         weights = [(lam, table.weight(lam)) for lam in self.grid if 0 < lam <= 1]
+        outcomes = self._outcome_table()[0]
+        compare, equivalent = self.rel.compare, ComparisonOutcome.EQUIVALENT
+        # row[i]: the numbers of x_i mixed with each z_k at each weight, in
+        # scan order (k, then lam); a pair of them is equivalent when
+        # states[(a, b)] is _SAME, and not when it is _OTHER
+        row: list[Optional[list[int]]] = [None] * n
+        states: dict[tuple[int, int], int] = {}
+
+        def mixtures(i: int) -> list[int]:
+            got = row[i]
+            if got is None:
+                got = row[i] = [table.mix(i, w, k) for k in range(n) for _, w in weights]
+            return got
+
         for i in range(n):
+            mi = mixtures(i)
             for j in range(n):
-                same = self.equiv(pts[i], pts[j])
-                for k in range(n):
-                    for lam, w in weights:
-                        mixed_same = self.compare(
-                            pts[mix(i, w, k)], pts[mix(j, w, k)]
-                        ) is ComparisonOutcome.EQUIVALENT
-                        if mixed_same != same:
-                            return _fails(
-                                AxiomId.INDEPENDENT,
-                                {"x": pts[i], "y": pts[j], "z": pts[k], "lam": lam},
-                                note="indifference and mixed indifference disagree",
-                            )
+                mj = mixtures(j)
+                got = bytes(map(states.get, zip(mi, mj), repeat(0)))
+                pos = got.find(0)
+                while pos >= 0:
+                    a, b = pair = mi[pos], mj[pos]
+                    if pair not in states:
+                        same = (outcomes[a][b] == EQUIV if a < n and b < n
+                                else compare(mixed[a], mixed[b]) is equivalent)
+                        states[pair] = _SAME if same else _OTHER
+                    pos = got.find(0, pos + 1)
+                    if pos < 0:
+                        got = bytes(map(states.__getitem__, zip(mi, mj)))
+                bad = got.find(_OTHER if outcomes[i][j] == EQUIV else _SAME)
+                if bad >= 0:
+                    k, w = divmod(bad, len(weights))
+                    p = self.points
+                    return _fails(
+                        AxiomId.INDEPENDENT,
+                        {"x": p[i], "y": p[j], "z": p[k], "lam": weights[w][0]},
+                        note="indifference and mixed indifference disagree",
+                    )
         return AxiomVerdict(
             AxiomId.INDEPENDENT, Status.SAMPLED,
             note="biconditional verified on grid weights",

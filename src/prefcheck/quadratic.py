@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .spaces import MixtureSpace, Point, mix_coords
+from .spaces import VECTOR_HOOKS, MixtureSpace, Point, mix_vectors, vector_key, vector_point
 
 
 def quad_sign(a: Fraction, b: Fraction) -> int:
@@ -119,11 +119,16 @@ class RootTwoUnitInterval(MixtureSpace):
         a, b = p.coords
         return quad_sign(a, b) >= 0 and quad_sign(a - 1, b) <= 0
 
-    def mix(self, x: Point, lam, y: Point) -> Point:
+    key, point = VECTOR_HOOKS[:2]
+
+    def mix_key(self, kx, lam, ky):
         if isinstance(lam, QuadRat):
-            v = lam * point_value(x) + (1 - lam) * point_value(y)
-            return Point((v.a, v.b))
-        return Point(mix_coords(lam, x.coords, y.coords))
+            v = lam * point_value(vector_point(kx)) + (1 - lam) * point_value(vector_point(ky))
+            return vector_key(Point((v.a, v.b)))
+        return mix_vectors(kx, lam, ky)
+
+    def mix(self, x: Point, lam, y: Point) -> Point:
+        return self.point(self.mix_key(self.key(x), lam, self.key(y)))
 
     def descriptor(self) -> dict:
         return {"kind": "root2_interval"}

@@ -223,11 +223,20 @@ def verify_representation(
 ) -> VerificationReport:
     """Exact order agreement on all pairs and mixture preservation on the grid."""
     report = VerificationReport()
+    table = engine.mix_table()
+    mix, mixed = table.mix, table.points
+    values: dict[int, Fraction] = {}  # by table number, so by point
 
-    for x in engine.points:
-        vx = representation_value(rep, engine, x)
-        for y in engine.points:
-            vy = representation_value(rep, engine, y)
+    def value(m: int) -> Fraction:
+        got = values.get(m)
+        if got is None:
+            got = values[m] = representation_value(rep, engine, mixed[m])
+        return got
+
+    for i, x in enumerate(engine.points):
+        vx = value(i)
+        for j, y in enumerate(engine.points):
+            vy = value(j)
             expected = _ORDER_OF_SIGN[(vx > vy) - (vx < vy)]
             got = engine.compare(x, y)
             report.order_checked += 1
@@ -237,15 +246,13 @@ def verify_representation(
                      "outcome": got.value}
                 )
 
-    table = engine.mix_table()
-    mix, mixed = table.mix, table.points
     weights = [(g, table.weight(g)) for g in engine.grid]
     for i, x in enumerate(engine.points):
-        vx = representation_value(rep, engine, x)
+        vx = value(i)
         for j, y in enumerate(engine.points):
-            vy = representation_value(rep, engine, y)
+            vy = value(j)
             for g, w in weights:
-                vm = representation_value(rep, engine, mixed[mix(i, w, j)])
+                vm = value(mix(i, w, j))
                 report.mixture_checked += 1
                 if vm != g * vx + (1 - g) * vy:
                     report.failures.append(

@@ -9,10 +9,13 @@ carrier by the symmetric part of a relation.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Optional, Sequence
+from math import gcd, lcm
+from types import MethodType
+from typing import TYPE_CHECKING, Optional
 
 from .intervals import ONE, ZERO, Interval, SectionSet, rat
 from .verdicts import AxiomVerdict, Status
@@ -21,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .relations import RelationModel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Point:
     """Carrier element; `part` tags the arm for split-space points."""
 
@@ -34,6 +37,16 @@ class Point:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other):
+        # most tests in comparators are on unequal points: the cached hashes
+        # tell those apart without comparing Fractions
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._hash == other._hash and self.coords == other.coords
+                and self.part == other.part)
 
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self.coords)
@@ -54,20 +67,42 @@ def split_b(s) -> Point:
     return Point((rat(s), ZERO), part="B")
 
 
-def mix_coords(lam, xs: Sequence, ys: Sequence) -> tuple[Fraction, ...]:
-    """lam*a + (1-lam)*b for each pair of coordinates (a, b), in integers.
+# A rational vector's key is its numerators over their least common
+# denominator, then that denominator: (n_1, ..., n_k, d) with d > 0 and no
+# common factor, so equal vectors have equal keys.  Keys are homogeneous
+# coordinates, and mixing is linear on them.
 
-    With lam = p/q, a = m/d and b = n/e it is (p*m*e + (q-p)*n*d) / (q*d*e):
-    one `Fraction` per coordinate, which normalises, so the point is equal
-    to (and hashes as) the one built by `Fraction` arithmetic.
+
+def vector_key(p: Point) -> tuple[int, ...]:
+    den = lcm(*[c.denominator for c in p.coords])
+    return (*[c.numerator * (den // c.denominator) for c in p.coords], den)
+
+
+def vector_point(key: Sequence[int], part: Optional[str] = None) -> Point:
+    den = key[-1]
+    return Point(tuple([Fraction(n, den) for n in key[:-1]]), part)
+
+
+def mix_vectors(kx: tuple[int, ...], lam, ky: tuple[int, ...]) -> tuple[int, ...]:
+    """The key of lam*x + (1-lam)*y from the keys of x and y.
+
+    With lam = p/q, x = X/d and y = Y/e it is (p*e*X + (q-p)*d*Y) / (q*d*e);
+    the same combination of the two denominators is q*d*e, so the whole
+    key is one combination, divided by its gcd.
     """
     p, q = lam.numerator, lam.denominator
-    r = q - p
-    return tuple([
-        Fraction(p * a.numerator * b.denominator + r * b.numerator * a.denominator,
-                 q * a.denominator * b.denominator)
-        for a, b in zip(xs, ys)
-    ])
+    if p == q:
+        return kx
+    if p == 0:
+        return ky
+    a, b = p * ky[-1], (q - p) * kx[-1]
+    out = [a * m + b * n for m, n in zip(kx, ky)]
+    g = gcd(*out)
+    return tuple([v // g for v in out]) if g != 1 else tuple(out)
+
+
+# the hooks of a carrier keyed by `vector_key`, for its class body
+VECTOR_HOOKS = staticmethod(vector_key), staticmethod(vector_point), staticmethod(mix_vectors)
 
 
 class CarrierError(ValueError):
@@ -75,6 +110,14 @@ class CarrierError(ValueError):
 
 
 class MixtureSpace:
+    """A carrier: its points, its mixture, and the keys a `MixTable` mixes.
+
+    A table numbers each point by `key(point)` and mixes keys with
+    `mix_key`; `point(key)` builds a point back, only when one is read.  By
+    default a point is its own key and `mix_key` is `mix`.  A carrier that
+    overrides all three must keep `key` one-to-one on points.
+    """
+
     kind = "abstract"
 
     def contains(self, p: Point) -> bool:  # pragma: no cover - overridden
@@ -82,6 +125,15 @@ class MixtureSpace:
 
     def mix(self, x: Point, lam, y: Point) -> Point:  # pragma: no cover
         raise NotImplementedError
+
+    def key(self, p: Point):
+        return p
+
+    def point(self, key) -> Point:
+        return key
+
+    def mix_key(self, kx, lam, ky):
+        return self.mix(kx, lam, ky)
 
     def descriptor(self) -> dict:  # pragma: no cover
         raise NotImplementedError
@@ -108,8 +160,10 @@ class Simplex(MixtureSpace):
             for i in range(self.dim)
         ]
 
+    key, point, mix_key = VECTOR_HOOKS
+
     def mix(self, x: Point, lam, y: Point) -> Point:
-        return Point(mix_coords(lam, x.coords, y.coords))
+        return self.point(self.mix_key(self.key(x), lam, self.key(y)))
 
     def descriptor(self) -> dict:
         return {"kind": "simplex", "dim": self.dim}
@@ -124,11 +178,16 @@ class RealInterval(MixtureSpace):
     def contains(self, p: Point) -> bool:
         return p.part is None and len(p.coords) == 1 and self.lo <= p.coords[0] <= self.hi
 
+    key, point, mix_key = VECTOR_HOOKS
+
     def mix(self, x: Point, lam, y: Point) -> Point:
-        return Point(mix_coords(lam, x.coords, y.coords))
+        return self.point(self.mix_key(self.key(x), lam, self.key(y)))
 
     def descriptor(self) -> dict:
         return {"kind": "interval", "lo": str(self.lo), "hi": str(self.hi)}
+
+
+_ORIGIN = (0, 0, 1)  # the vector key of (0, 0)
 
 
 @dataclass(frozen=True)
@@ -152,20 +211,26 @@ class SplitSpace(MixtureSpace):
             return t == 0 and ZERO < s <= ONE
         return False
 
-    def mix(self, x: Point, lam, y: Point) -> Point:
-        if x.part == y.part:
-            coords = mix_coords(lam, x.coords, y.coords)
-            if x.part == "B" and coords[0] == 0:  # both weights on the origin side
-                return Point((ZERO, ZERO), part="A")
-            return Point(coords, part=x.part)
-        if x.part == "A":  # a lam b
-            if lam == 1:
-                return x
-            return Point(((1 - lam) * y.coords[0], ZERO), part="B")
+    def key(self, p: Point):
+        return p.part, vector_key(p)
+
+    def point(self, key) -> Point:
+        return vector_point(key[1], key[0])
+
+    def mix_key(self, kx, lam, ky):
+        (px, vx), (py, vy) = kx, ky
+        if px == py:
+            v = mix_vectors(vx, lam, vy)
+            if px == "B" and v[0] == 0:  # both weights on the origin side
+                return "A", _ORIGIN
+            return px, v
+        if px == "A":  # a lam b
+            return kx if lam == 1 else ("B", mix_vectors(_ORIGIN, lam, vy))
         # b lam a == a (1-lam) b
-        if lam == 0:
-            return y
-        return Point((lam * x.coords[0], ZERO), part="B")
+        return ky if lam == 0 else ("B", mix_vectors(vx, lam, _ORIGIN))
+
+    def mix(self, x: Point, lam, y: Point) -> Point:
+        return self.point(self.mix_key(self.key(x), lam, self.key(y)))
 
     def descriptor(self) -> dict:
         return {"kind": "split"}
@@ -225,30 +290,67 @@ def mix(space: MixtureSpace, x: Point, lam, y: Point) -> Point:
     return space.mix(x, lam, y)
 
 
+def _owner(cls: type, name: str) -> type:
+    return next(c for c in cls.__mro__ if name in vars(c))
+
+
+class _Points(Sequence):
+    """A table's points, each built from its key when first read."""
+
+    def __init__(self, keys: list, point):
+        self._keys, self._point, self._made = keys, point, {}
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self._keys)))]
+        if i < 0:
+            i = range(len(self._keys))[i]
+        got = self._made.get(i)
+        if got is None:
+            got = self._made[i] = self._point(self._keys[i])
+        return got
+
+
 class MixTable:
     """`space.mix` over numbered points and weights (hash-consing).
 
-    A point gets a number on first sight, keyed by `Point`, so equal points
-    share one and comparing numbers is comparing points; a weight gets one
-    keyed by its value.  `mix(i, w, j)` is the number of points[i] mixed
-    with points[j] at weights[w], memoised on the int triple: `mix` is a pure
-    function of its arguments, so each distinct (x, lam, y) reaches the
-    carrier once.  A table lives as long as the scan or engine that made it.
+    A point gets a number on first sight, keyed by `space.key(point)`, so
+    equal points share one and comparing numbers is comparing points; a
+    weight gets one keyed by its value.  `mix(i, w, j)` is the number of
+    key i mixed with key j at weights[w] by `space.mix_key`, memoised on the
+    int triple: mixing is a pure function of its arguments, so each
+    distinct (x, lam, y) reaches the carrier once.  `points[i]` is built
+    from key i on first read.  A carrier whose `mix` is overridden below
+    its `mix_key` is mixed by the `MixtureSpace` defaults, through that
+    `mix`, each point its own key.  A table lives as long as the scan or
+    engine that made it.
     """
 
     def __init__(self, space: MixtureSpace):
-        self.points: list[Point] = []
+        self.keys: list = []
         self.weights: list = []
-        self._point_ids: dict[Point, int] = {}
+        self._ids: dict = {}
         self._weight_ids: dict = {}
         self._mixed: dict[tuple[int, int, int], int] = {}
-        self._carrier_mix = space.mix
+        cls = type(space)
+        if issubclass(_owner(cls, "mix_key"), _owner(cls, "mix")):
+            self._key, point, self._mix_key = space.key, space.point, space.mix_key
+        else:  # `mix` overridden below `mix_key`: the defaults, which call it
+            self._key, point, self._mix_key = (
+                MethodType(f, space)
+                for f in (MixtureSpace.key, MixtureSpace.point, MixtureSpace.mix_key))
+        self.points = _Points(self.keys, point)
 
     def number(self, p: Point) -> int:
-        got = self._point_ids.get(p)
+        key = self._key(p)
+        got = self._ids.get(key)
         if got is None:
-            got = self._point_ids[p] = len(self.points)
-            self.points.append(p)
+            got = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.points._made[got] = p
         return got
 
     def weight(self, lam) -> int:
@@ -259,16 +361,43 @@ class MixTable:
         return got
 
     def mix(self, i: int, w: int, j: int) -> int:
-        key = (i, w, j)
-        got = self._mixed.get(key)
+        triple = (i, w, j)
+        got = self._mixed.get(triple)
         if got is None:
-            p = self.points
-            got = self._mixed[key] = self.number(
-                self._carrier_mix(p[i], self.weights[w], p[j]))
+            keys = self.keys
+            key = self._mix_key(keys[i], self.weights[w], keys[j])
+            got = self._ids.get(key)
+            if got is None:
+                got = self._ids[key] = len(keys)
+                keys.append(key)
+            self._mixed[triple] = got
         return got
 
 
 DEFAULT_GRID: tuple[Fraction, ...] = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+
+
+def closure_table(
+    space: MixtureSpace,
+    points: Sequence[Point],
+    grid: Sequence[Fraction] = DEFAULT_GRID,
+    depth: int = 1,
+) -> MixTable:
+    """A table whose numbers are `points` closed under grid-weight
+    mixtures, `depth` rounds, in first-seen order: each round mixes every
+    pair of the numbers so far."""
+    table = MixTable(space)
+    for p in points:
+        table.number(p)
+    weights = [table.weight(g) for g in grid]
+    mix = table.mix
+    for _ in range(depth):
+        numbers = range(len(table.keys))
+        for x in numbers:
+            for y in numbers:
+                for w in weights:
+                    mix(x, w, y)
+    return table
 
 
 def augment_points(
@@ -277,26 +406,12 @@ def augment_points(
     grid: Sequence[Fraction] = DEFAULT_GRID,
     depth: int = 1,
 ) -> list[Point]:
-    """Close a point list under grid-weight mixtures, `depth` rounds."""
-    out: list[Point] = []
-    seen: set[Point] = set()
-    for p in points:
-        if p not in seen:
-            seen.add(p)
-            out.append(p)
-    current = list(out)
-    for _ in range(depth):
-        fresh = []
-        for x in current:
-            for y in current:
-                for g in grid:
-                    m = space.mix(x, g, y)
-                    if m not in seen:
-                        seen.add(m)
-                        fresh.append(m)
-        out.extend(fresh)
-        current = out
-    return out
+    """Close a point list under grid-weight mixtures, `depth` rounds: the
+    points of `closure_table`.  With no rounds only repeats go, and no
+    point is keyed."""
+    if depth < 1:
+        return list(dict.fromkeys(points))
+    return closure_table(space, points, grid, depth).points[:]
 
 
 def check_mixture_axioms(

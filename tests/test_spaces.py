@@ -1,7 +1,9 @@
 import operator
 import zlib
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
+from inspect import getattr_static
 from itertools import product
 
 import pytest
@@ -9,17 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefcheck.axioms import AxiomEngine, Universe
-from prefcheck.catalog import load_entry
+from prefcheck.catalog import ENTRY_IDS, load_entry
+from prefcheck.quadratic import QuadRat, RootTwoUnitInterval, quad_pt
 from prefcheck.relations import ComparisonOutcome, PointwiseOnly
 from prefcheck.spaces import (
     CarrierError,
     DEFAULT_GRID,
+    MixTable,
     Point,
     QuotientError,
     RealInterval,
     Simplex,
     SplitSpace,
+    augment_points,
     check_c1_c2,
+    closure_table,
     check_mixture_axioms,
     mix,
     pt,
@@ -443,3 +449,151 @@ def test_interval_mix_matches_fraction_formula(a, b, lam):
 def test_split_mix_matches_fraction_formula(pair, lam):
     x, y = pair
     assert_same_point(SplitSpace().mix(x, lam, y), split_reference(x, F(lam), y))
+
+
+# ---------------------------------------------------------------------------
+# mixing through keys, and the tables that do it
+# ---------------------------------------------------------------------------
+
+
+def key_mix(space, x, lam, y):
+    """x lam y through the carrier's keys, as a `MixTable` mixes it."""
+    return space.point(space.mix_key(space.key(x), lam, space.key(y)))
+
+
+def assert_keys_match_points(space, x, y):
+    assert (space.key(x) == space.key(y)) == (x == y)
+    assert_same_point(space.point(space.key(x)), x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simplex_pair(), mix_weights)
+def test_simplex_keys_mix_as_fractions(case, lam):
+    space, x, y = case
+    assert_same_point(key_mix(space, x, lam, y), Point(fraction_mix(F(lam), x.coords, y.coords)))
+    assert_keys_match_points(space, x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(-3, 3, max_denominator=6), st.fractions(-3, 3, max_denominator=6),
+       mix_weights)
+def test_interval_keys_mix_as_fractions(a, b, lam):
+    space = RealInterval(min(a, b), max(a, b))
+    assert_same_point(key_mix(space, pt(a), lam, pt(b)), pt(F(lam) * a + (1 - F(lam)) * b))
+    assert_keys_match_points(space, pt(a), pt(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_pair(), mix_weights)
+def test_split_keys_mix_as_fractions(pair, lam):
+    x, y = pair
+    space = SplitSpace()
+    assert_same_point(key_mix(space, x, lam, y), split_reference(x, F(lam), y))
+    assert_keys_match_points(space, x, y)
+    assert_keys_match_points(space, x, Point(x.coords, part=x.part))
+
+
+def test_split_keys_across_arms():
+    space = SplitSpace()
+    # the A point collapses to the origin: a lam b is (1-lam) b on the B arm
+    assert_same_point(key_mix(space, split_a(1), F(1, 4), split_b(F(2, 3))), split_b(F(1, 2)))
+    assert_same_point(key_mix(space, split_b(F(2, 3)), F(3, 4), split_a(1)), split_b(F(1, 2)))
+    # except where all weight is on the A point
+    assert_same_point(key_mix(space, split_a(F(1, 3)), 1, split_b(1)), split_a(F(1, 3)))
+    assert_same_point(key_mix(space, split_b(1), 0, split_a(F(1, 3))), split_a(F(1, 3)))
+    # the origin is an A point, keyed apart from every B point, and a B
+    # mixture that lands on coordinate 0 collapses to it
+    zero_b = Point((F(0), F(0)), part="B")
+    assert space.key(split_a(0)) != space.key(zero_b)
+    assert_same_point(key_mix(space, zero_b, F(1, 2), zero_b), split_a(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(0, 1, max_denominator=8), st.sampled_from([F(0), F(1, 4), F(-1, 4)]),
+       st.fractions(0, 1, max_denominator=8), st.sampled_from([F(0), F(1, 2)]),
+       st.one_of(mix_weights, st.just(QuadRat(F(1), F(-1, 2)))))
+def test_root_two_keys_mix_as_fractions(a, b, c, d, lam):
+    space, x, y = RootTwoUnitInterval(), quad_pt(a, b), quad_pt(c, d)
+    if isinstance(lam, QuadRat):
+        v = lam * QuadRat(a, b) + (1 - lam) * QuadRat(c, d)
+        want = quad_pt(v.a, v.b)
+    else:
+        want = Point(fraction_mix(F(lam), x.coords, y.coords))
+    assert_same_point(key_mix(space, x, lam, y), want)
+    assert_keys_match_points(space, x, y)
+
+
+def old_augment_points(space, points, grid, depth):
+    """The closure loop on `Point`s, before tables: each round mixes every
+    pair of the points so far, and keeps each new point in first-seen order."""
+    out = list(dict.fromkeys(points))
+    seen = set(out)
+    for _ in range(depth):
+        fresh = []
+        for x in out:
+            for y in out:
+                for g in grid:
+                    m = space.mix(x, g, y)
+                    if m not in seen:
+                        seen.add(m)
+                        fresh.append(m)
+        out = out + fresh
+    return out
+
+
+@pytest.mark.parametrize("entry_id", ENTRY_IDS)
+def test_closure_keeps_the_point_loop_order(entry_id):
+    entry = load_entry(entry_id)
+    universe = entry.universe
+    want = old_augment_points(entry.space, universe.points, universe.grid, 2)
+    got = augment_points(entry.space, universe.points, universe.grid, 2)
+    assert got == want
+    for g, w in zip(got, want):
+        assert_same_point(g, w)
+    table = closure_table(entry.space, universe.points, universe.grid, 2)
+    assert table.points[:] == want and len(table.points) == len(want)
+    engine = AxiomEngine(entry.relation, Universe(universe.points, 2, universe.grid))
+    assert engine.points == want and engine.mix_table().points[:len(want)] == want
+
+
+def test_table_points_read_like_a_list():
+    table = closure_table(Simplex(2), [pt(1, 0), pt(0, 1), pt(1, 0)], (F(1, 2),), 1)
+    want = [pt(1, 0), pt(0, 1), pt(F(1, 2), F(1, 2))]
+    assert len(table.points) == 3 and list(table.points) == want
+    assert table.points[-1] == want[-1] and table.points[1:] == want[1:]
+    assert table.points[2] is table.points[2]   # built once, on first read
+    with pytest.raises(IndexError):
+        table.points[3]
+
+
+def carriers():
+    """One instance of each built-in keyed carrier, with two of its points."""
+    return [
+        (Simplex(2), pt(1, 0), pt(0, 1)),
+        (RealInterval(F(0), F(1)), pt(0), pt(1)),
+        (SplitSpace(), split_a(1), split_b(1)),
+        (RootTwoUnitInterval(), quad_pt(0), quad_pt(1, 0)),
+    ]
+
+
+def subclass(space, **body):
+    cls = type(f"Sub{type(space).__name__}", (type(space),), body)
+    return cls(*(getattr(space, f.name) for f in fields(space)))
+
+
+@pytest.mark.parametrize("space, x, y", carriers())
+def test_table_mixes_an_overridden_mix_through_it(space, x, y):
+    # overriding `mix` alone takes the carrier off its keys
+    left = subclass(space, mix=lambda self, x, lam, y: x)
+    table = MixTable(left)
+    i, j = table.number(x), table.number(y)
+    assert table.points[table.mix(j, table.weight(F(1, 2)), i)] == y
+    assert table.keys == [x, y]
+    # overriding nothing, or `mix_key` with `mix`, keeps them
+    both = {name: getattr_static(space, name) for name in ("mix", "mix_key")}
+    for keyed in (subclass(space), subclass(space, **both)):
+        table = MixTable(keyed)
+        i, j = table.number(x), table.number(y)
+        got = table.points[table.mix(i, table.weight(F(1, 2)), j)]
+        assert_same_point(got, space.mix(x, F(1, 2), y))
+        assert table.keys[0] == space.key(x)

@@ -608,33 +608,45 @@ class AxiomEngine:
         return _holds(AxiomId.STRONG_ARCHIMEDEAN)
 
     def _strong_archimedean_pointwise(self, pairs):
-        fn = getattr(self.rel, "strong_witness_fn", None)
-        if fn is None:
+        hooks = getattr(self.rel, "strong_weights", None)
+        if hooks is None:
             return _na(
                 AxiomId.STRONG_ARCHIMEDEAN,
                 "no segment oracle and no pointwise witness constructor",
             )
         table = self.mix_table()
-        mix, weight, mixed = table.mix, table.weight, table.points
+        mix, weight, mixed, p = table.mix, table.weight, table.points, self.points
+
+        def side(hook, i):
+            # per target k: p[i] w p[k] for the hook's weight w on (p[i], p[k]),
+            # None where it has none, False where w is not in (0, 1)
+            a, cells = p[i], []
+            for k, z in enumerate(p):
+                w = hook(a, z)
+                cells.append(None if w is None else
+                             mixed[mix(i, weight(w), k)] if 0 < w < 1 else False)
+            return cells
+
+        # weights depend on (x, z) and (y, z) only; each is mixed once, and
+        # verified against the other point of every triple
+        upper, lower = hooks
+        uppers, lowers = {}, {}
+        compare, better, worse = (
+            self.rel.compare, ComparisonOutcome.BETTER, ComparisonOutcome.WORSE)
         for i, j in pairs:
-            x, y = self.points[i], self.points[j]
-            for k, z in enumerate(self.points):
-                got = fn(x, y, z)
-                if got is None:
+            if i not in uppers:
+                uppers[i] = side(upper, i)
+            if j not in lowers:
+                lowers[j] = side(lower, j)
+            x, y = p[i], p[j]
+            for up, down in zip(uppers[i], lowers[j]):
+                if up is None or down is None:
                     return _na(
                         AxiomId.STRONG_ARCHIMEDEAN,
                         "pointwise witness search inconclusive",
                     )
-                lam, delta = got
-                ok = (
-                    0 < lam < 1
-                    and 0 < delta < 1
-                    and self.rel.compare(mixed[mix(i, weight(lam), k)], y)
-                    is ComparisonOutcome.BETTER
-                    and self.rel.compare(mixed[mix(j, weight(delta), k)], x)
-                    is ComparisonOutcome.WORSE
-                )
-                if not ok:  # pragma: no cover - witness constructors are exact
+                if (up is False or down is False or compare(up, y) is not better
+                        or compare(down, x) is not worse):
                     return _na(
                         AxiomId.STRONG_ARCHIMEDEAN, "pointwise witness failed verification"
                     )

@@ -232,32 +232,32 @@ def _rats_compare(u: Point, v: Point) -> ComparisonOutcome:
     return BETTER if ru else WORSE
 
 
-def _rats_strong_witness(x: Point, y: Point, z: Point):
-    """Weights (lam, delta) with  x lam z  rational and  y delta z  irrational.
+def _rats_upper_weight(x: Point, z: Point):
+    """A weight lam with  x lam z  rational, for a rational x.
 
-    x is rational and y irrational here.  For irrational z the lam weight
-    must itself be quadratic: lam = p + q*sqrt(2) with the sqrt(2) part of
-    the mixture cancelled exactly.
+    For irrational z the weight must itself be quadratic: lam = p + q*sqrt(2)
+    with the sqrt(2) part of the mixture cancelled exactly.
     """
-    delta = None
-    for d in (F(1, 2), F(1, 3)):
-        if d * y.coords[1] + (1 - d) * z.coords[1] != 0:
-            delta = d
-            break
-    if delta is None:  # pragma: no cover - needs y and z both rational
-        return None
     if z.coords[1] == 0:
-        return F(1, 2), delta
+        return F(1, 2)
     ax, az, bz = x.coords[0], z.coords[0], z.coords[1]
     if ax == az:
-        return QuadRat(F(1), F(-1, 2)), delta
+        return QuadRat(F(1), F(-1, 2))
     c = bz / (ax - az)
     for k in range(1, 80):
         for p in (1 - F(1, 2**k), 1 + F(1, 2**k)):
             lam = QuadRat(p, (p - 1) * c)
             if 0 < lam < 1:
-                return lam, delta
+                return lam
     return None  # pragma: no cover - the ladder always lands inside (0,1)
+
+
+def _rats_lower_weight(y: Point, z: Point):
+    """A weight delta with  y delta z  irrational, for an irrational y."""
+    for d in (F(1, 2), F(1, 3)):
+        if d * y.coords[1] + (1 - d) * z.coords[1] != 0:
+            return d
+    return None  # pragma: no cover - needs y and z both rational
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +550,7 @@ def _build_eu3() -> CatalogEntry:
 def _build_appx4() -> CatalogEntry:
     space = RootTwoUnitInterval()
     rel = PointwiseOnly("appx4_rationals", space, _rats_compare,
-                        strong_witness_fn=_rats_strong_witness)
+                        strong_weights=(_rats_upper_weight, _rats_lower_weight))
     expect = dict(_ORDER_BASE)
     expect.update({
         "complete": _H, "nontrivial": _H, "negatively_transitive": _H,
@@ -688,6 +688,14 @@ def _quotient_representation_report(entry: CatalogEntry) -> tuple[dict, list[str
     return report, mismatches
 
 
+@lru_cache(maxsize=None)
+def _space_checks(space: MixtureSpace, points: tuple, grid: tuple) -> dict:
+    """S1-S4 and C1/C2 on one carrier universe.  Carriers compare by value,
+    so entries on equal carriers and universes share one run."""
+    return {**check_mixture_axioms(space, points, grid),
+            **check_c1_c2(space, points, grid)}
+
+
 def run_entry(entry_id: str) -> EntryReport:
     entry = load_entry(entry_id)
     engine = AxiomEngine(entry.relation, entry.universe)
@@ -699,12 +707,8 @@ def run_entry(entry_id: str) -> EntryReport:
         if got != expected:
             mismatches.append(f"{axiom}: expected {expected}, engine says {got}")
 
-    space_verdicts = {}
-    space_verdicts.update(check_mixture_axioms(
-        entry.space, entry.universe.points, entry.universe.grid
-    ))
-    space_verdicts.update(check_c1_c2(
-        entry.space, entry.universe.points, entry.universe.grid
+    space_verdicts = dict(_space_checks(
+        entry.space, tuple(entry.universe.points), tuple(entry.universe.grid)
     ))
     for name, expected in sorted(entry.space_expectations.items()):
         got = space_verdicts[name].status.value

@@ -690,14 +690,15 @@ class PointwiseOnly(RelationModel):
         entry_id: str,
         space: MixtureSpace,
         compare_fn: Callable[[Point, Point], ComparisonOutcome],
-        strong_witness_fn=None,
+        strong_weights=None,
     ):
         super().__init__(space)
         self.entry_id = entry_id
         self._compare = compare_fn
-        # optional hook: (x, y, z) -> (lam, delta) weights proving the
-        # strict pair survives mixing toward z, or None when unknown
-        self.strong_witness_fn = strong_witness_fn
+        # optional hooks (upper, lower): upper(x, z) -> lam with x lam z
+        # still above each y below x, lower(y, z) -> delta with y delta z
+        # still below each x above y; either may return None when unknown
+        self.strong_weights = strong_weights
 
     def compare(self, x: Point, y: Point) -> ComparisonOutcome:
         return self._compare(x, y)

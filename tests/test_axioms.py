@@ -221,6 +221,84 @@ def test_pointwise_strong_archimedean_for_quadratic_entry():
         is Status.NOT_APPLICABLE
 
 
+def test_pointwise_weights_are_asked_once_per_pair():
+    """lam depends on (x, z) and delta on (y, z): on appx4's closure the
+    hooks run once per distinct x (or y) and target, not once per triple."""
+    entry = load_entry("appx4_rationals")
+    upper, lower = entry.relation.strong_weights
+    calls = {"upper": 0, "lower": 0}
+
+    def counted(name, hook):
+        def wrapped(a, z):
+            calls[name] += 1
+            return hook(a, z)
+        return wrapped
+
+    rel = PointwiseOnly("appx4_rationals", entry.space, entry.relation.compare,
+                        strong_weights=(counted("upper", upper), counted("lower", lower)))
+    engine = AxiomEngine(rel, entry.universe)
+    verdict = engine.verdict(AxiomId.STRONG_ARCHIMEDEAN)
+    assert verdict.status is Status.HOLDS
+    assert verdict.note == "pointwise witness search"
+    n, pairs = len(engine.points), engine.strict_pairs()
+    assert (n, len(pairs)) == (19, 70)
+    xs, ys = {i for i, _ in pairs}, {j for _, j in pairs}
+    assert (len(xs), len(ys)) == (5, 14)
+    assert calls["upper"] <= len(xs) * n
+    assert calls["lower"] <= len(ys) * n
+
+
+def _by_value(u, v):
+    a, b = u.coords[0], v.coords[0]
+    if a == b:
+        return ComparisonOutcome.EQUIVALENT
+    return ComparisonOutcome.BETTER if a > b else ComparisonOutcome.WORSE
+
+
+def _pointwise_strong(values, strong_weights):
+    rel = PointwiseOnly("by_value", RealInterval(F(0), F(4)), _by_value,
+                        strong_weights=strong_weights)
+    engine = AxiomEngine(rel, Universe(tuple(pt(v) for v in values), closure_depth=0))
+    return engine.verdict(AxiomId.STRONG_ARCHIMEDEAN)
+
+
+def _const(w):
+    return lambda a, z: w
+
+
+def test_pointwise_strong_archimedean_reasons():
+    half = _const(F(1, 2))
+    held = _pointwise_strong((0, 4), (half, half))
+    assert held.status is Status.HOLDS
+    assert held.note == "pointwise witness search"
+
+    def reason(values, weights):
+        verdict = _pointwise_strong(values, weights)
+        assert verdict.status is Status.NOT_APPLICABLE
+        return verdict.note
+
+    assert reason((0, 4), None) == "no segment oracle and no pointwise witness constructor"
+    inconclusive = "pointwise witness search inconclusive"
+    assert reason((0, 4), (_const(None), half)) == inconclusive
+    assert reason((0, 4), (half, _const(None))) == inconclusive
+    failed = "pointwise witness failed verification"
+    for w in (F(0), F(1)):
+        assert reason((0, 4), (_const(w), half)) == failed
+        assert reason((0, 4), (half, _const(w))) == failed
+
+
+def test_pointwise_weight_is_verified_against_every_partner():
+    # upper(4, 0) = 1/2 gives 4 (1/2) 0 = 2: above y = 0, not above y = 3
+    def upper(x, z):
+        return F(1, 2) if z.coords[0] == 0 else F(1, 10)
+
+    half = _const(F(1, 2))
+    assert _pointwise_strong((0, 4), (upper, half)).status is Status.HOLDS
+    verdict = _pointwise_strong((0, 3, 4), (upper, half))
+    assert verdict.status is Status.NOT_APPLICABLE
+    assert verdict.note == "pointwise witness failed verification"
+
+
 def test_open_strict_sections_verdicts():
     appx1 = load_entry("appx1")
     assert entry_engine("appx1").verdict(AxiomId.OPEN_STRICT_SECTIONS).failed

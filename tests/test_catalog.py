@@ -1,5 +1,6 @@
 import pytest
 
+from prefcheck import catalog, spaces
 from prefcheck.catalog import (
     ENTRY_IDS,
     UnknownEntryError,
@@ -78,3 +79,32 @@ def test_catalog_report_serializes(entry_reports):
     text = json.dumps(payload, sort_keys=True)
     assert '"mismatches": 0' in text.replace("[]", "0") or payload["mismatches"] == 0
     assert payload["entries"][0]["entry"] == "eu3"
+
+
+def test_equal_carrier_universes_share_space_checks(monkeypatch):
+    """S1-S4 and C1/C2 run once per distinct (carrier, points, grid): the
+    ten entries sit on five, and each report equals an uncached run's."""
+    calls = {"check_mixture_axioms": 0, "check_c1_c2": 0}
+
+    def counted(name):
+        check = getattr(spaces, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return check(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(catalog, name, counted(name))
+    catalog._space_checks.cache_clear()
+    try:
+        report = run_catalog()
+    finally:
+        catalog._space_checks.cache_clear()
+    assert calls == {"check_mixture_axioms": 5, "check_c1_c2": 5}
+    for entry_report in report.entries:
+        entry = load_entry(entry_report.entry_id)
+        args = (entry.space, entry.universe.points, entry.universe.grid)
+        fresh = {**spaces.check_mixture_axioms(*args), **spaces.check_c1_c2(*args)}
+        assert entry_report.to_json()["space_checks"] == {
+            k: v.to_json() for k, v in fresh.items()}

@@ -192,23 +192,13 @@ def _full_section_axiom(axiom, which, above):
         na = self._oracle_or_na(axiom)
         if na:
             return na
-        weak, p = self.outcome_rows(WEAK, transposed=not above), self.points
-        for i in range(self._n):
-            # the test is symmetric in x and y, so the first hit has i <= j
-            for j in range(i, self._n):
-                among = weak[i] & weak[j]
-                if not among:
-                    continue
-                bad = among & _bitset(self._marks(i, j, full, full))
-                if bad:
-                    x, y, z = p[i], p[j], p[_lowest(bad)]
-                    sec = self.section(x, y, z, which)
-                    return _fails(
-                        axiom,
-                        {"x": x, "y": y, "z": z,
-                         "lam": representative(iv.complement(sec))},
-                    )
-        return _holds(axiom)
+        bad = self.first_triple(full, full, self.outcome_rows(WEAK, transposed=not above))
+        if bad is None:
+            return _holds(axiom)
+        x, y, z = (self.points[t] for t in bad)
+        sec = self.section(x, y, z, which)
+        return _fails(
+            axiom, {"x": x, "y": y, "z": z, "lam": representative(iv.complement(sec))})
 
     return check
 
@@ -235,6 +225,29 @@ def _covering_section_axiom(axiom, which, above):
                          "lam": representative(iv.difference(OPEN_UNIT, sec))},
                     )
         return _holds(axiom)
+
+    return check
+
+
+def _existential_axiom(axiom, hit, note, weights):
+    """A `_check_` method: `axiom` holds on the first triple whose flag word
+    has a bit of `hit`; the witness `lam` is a weight of `weights(partition)`
+    for that triple, the set that `note` names."""
+
+    def check(self):
+        na = self._oracle_or_na(axiom)
+        if na:
+            return na
+        found = self.first_triple(hit, 0)
+        if found is None:
+            return _fails(axiom, note=f"no {axiom.value} weight on the universe")
+        x, y, z = (self.points[t] for t in found)
+        return AxiomVerdict(
+            axiom, Status.HOLDS,
+            {"x": x, "y": y, "z": z,
+             "lam": representative(weights(self.rel.segment(x, y, z)))},
+            note=note,
+        )
 
     return check
 
@@ -290,7 +303,6 @@ class AxiomEngine:
         self._mark_tables: dict[tuple[int, int], bytes] = {}
         self._verdicts: dict[str, AxiomVerdict] = {}
         self._strict_pairs: Optional[list[tuple[int, int]]] = None
-        self._incomp: Optional[list[list[int]]] = None
 
     # -- mixtures -------------------------------------------------------------
 
@@ -366,13 +378,6 @@ class AxiomEngine:
             ]
         return self._strict_pairs
 
-    def incomparable_partners(self) -> list[list[int]]:
-        """For each point number, those of the points incomparable to it."""
-        if self._incomp is None:
-            self._incomp = [list(_members(row))
-                            for row in self.outcome_rows(INCOMPARABLE)]
-        return self._incomp
-
     def section(self, x, y, z, which: str) -> SectionSet:
         return self.rel.segment(x, y, z).section(which)
 
@@ -417,15 +422,24 @@ class AxiomEngine:
             ).ljust(256, b"0")
         return row.translate(table)
 
-    def first_triple(self, mask: int, expect: int):
+    def first_triple(self, mask: int, expect: int, among: Optional[list[int]] = None):
         """Point numbers (i, j, k) of the first triple in scan order whose
-        flag word, masked by `mask`, is not `expect`; None when there is none."""
-        for i in range(self._n):
+        flag word, masked by `mask`, is not `expect`; None when there is none.
+
+        With `among`, one n-bit int per point, k runs only over the bits of
+        among[i] & among[j], and a pair with none gets no flag row."""
+        n = self._n
+        rows = among or [(1 << n) - 1] * n
+        for i, row in enumerate(rows):
             # row (j, i) is row (i, j), met first, so the first hit has i <= j
-            for j in range(i, self._n):
-                k = self._marks(i, j, mask, expect).find(_MARK)
-                if k >= 0:
-                    return i, j, k
+            for j in range(i, n):
+                bad = row & rows[j]
+                if bad:
+                    marks = self._marks(i, j, mask, expect)
+                    if _MARK in marks:
+                        bad &= _bitset(marks)
+                        if bad:
+                            return i, j, _lowest(bad)
         return None
 
     def first_section_failure(self, which_props):
@@ -547,40 +561,41 @@ class AxiomEngine:
     _check_lower_sections_convex = _section_axiom(
         "lower_sections_convex", ("le", CONVEX))
 
+    def _side_miss(self, i: int, j: int, targets, upper: bool) -> Optional[int]:
+        """First point number k of `targets` with no interior weight that
+        keeps the mixture of x = points[i] with points[k] strictly above
+        y = points[j] (`upper`), or else that of y with points[k] strictly
+        below x; None when there is none."""
+        a, b, meets = (i, j, GT_MEETS) if upper else (j, i, LT_MEETS)
+        words, row = self._words, self.flag_row
+        return next((k for k in targets if not words[row(a, k)[b]] & meets), None)
+
+    def _archimedean_miss(self, axiom, i: int, j: int, k: int, upper: bool, name="z"):
+        """`axiom` fails on the strict pair (i, j) at the side miss k,
+        whose point the witness calls `name` on the lower side."""
+        x, y, t = self.points[i], self.points[j], self.points[k]
+        if upper:
+            witness = {"x": x, "y": y, "z": t, "section": self.section(x, t, y, "gt")}
+            return _fails(axiom, witness, note="no interior weight keeps x-side strictly above y")
+        witness = {"x": x, "y": y, name: t, "section": self.section(y, t, x, "lt")}
+        return _fails(axiom, witness, note="no interior weight keeps y-side strictly below x")
+
     def _check_archimedean(self):
         # Each half carries its own incomparability guard: the upper half is
         # required whenever y has an incomparable partner z, the lower half
         # whenever x has an incomparable partner w.
-        incomp = self.incomparable_partners()
-        guarded = [
-            (i, j) for i, j in self.strict_pairs() if incomp[i] or incomp[j]
-        ]
+        incomp = self.outcome_rows(INCOMPARABLE)
+        guarded = [(i, j) for i, j in self.strict_pairs() if incomp[i] | incomp[j]]
         if not guarded:
             return _holds(AxiomId.ARCHIMEDEAN, note="vacuous: no qualifying tuple")
         na = self._oracle_or_na(AxiomId.ARCHIMEDEAN)
         if na:
             return na
-        word, p = self.flag_word, self.points
         for i, j in guarded:
-            x, y = p[i], p[j]
-            for k in incomp[j]:
-                if not word(i, k, j) & GT_MEETS:
-                    z = p[k]
-                    return _fails(
-                        AxiomId.ARCHIMEDEAN,
-                        {"x": x, "y": y, "z": z,
-                         "section": self.section(x, z, y, "gt")},
-                        note="no interior weight keeps x-side strictly above y",
-                    )
-            for k in incomp[i]:
-                if not word(j, k, i) & LT_MEETS:
-                    w = p[k]
-                    return _fails(
-                        AxiomId.ARCHIMEDEAN,
-                        {"x": x, "y": y, "w": w,
-                         "section": self.section(y, w, x, "lt")},
-                        note="no interior weight keeps y-side strictly below x",
-                    )
+            for upper, partners, name in ((True, incomp[j], "z"), (False, incomp[i], "w")):
+                k = self._side_miss(i, j, _members(partners), upper)
+                if k is not None:
+                    return self._archimedean_miss(AxiomId.ARCHIMEDEAN, i, j, k, upper, name)
         return _holds(AxiomId.ARCHIMEDEAN)
 
     def _check_strong_archimedean(self):
@@ -589,22 +604,15 @@ class AxiomEngine:
             return _holds(AxiomId.STRONG_ARCHIMEDEAN, note="vacuous: no strict pair")
         if not self.rel.has_segment_oracle:
             return self._strong_archimedean_pointwise(pairs)
-        word, p = self.flag_word, self.points
         for i, j in pairs:
-            x, y = p[i], p[j]
-            for k, z in enumerate(p):
-                if not word(i, k, j) & GT_MEETS:
-                    return _fails(
-                        AxiomId.STRONG_ARCHIMEDEAN,
-                        {"x": x, "y": y, "z": z, "section": self.section(x, z, y, "gt")},
-                        note="no interior weight keeps x-side strictly above y",
-                    )
-                if not word(j, k, i) & LT_MEETS:
-                    return _fails(
-                        AxiomId.STRONG_ARCHIMEDEAN,
-                        {"x": x, "y": y, "z": z, "section": self.section(y, z, x, "lt")},
-                        note="no interior weight keeps y-side strictly below x",
-                    )
+            # per target the upper side comes first, so the lower side is
+            # scanned only up to the first upper miss
+            up = self._side_miss(i, j, range(self._n), True)
+            down = self._side_miss(i, j, range(self._n if up is None else up), False)
+            if down is not None:
+                return self._archimedean_miss(AxiomId.STRONG_ARCHIMEDEAN, i, j, down, False)
+            if up is not None:
+                return self._archimedean_miss(AxiomId.STRONG_ARCHIMEDEAN, i, j, up, True)
         return _holds(AxiomId.STRONG_ARCHIMEDEAN)
 
     def _strong_archimedean_pointwise(self, pairs):
@@ -736,38 +744,13 @@ class AxiomEngine:
             note="biconditional verified on grid weights",
         )
 
-    def _check_fragile(self):
-        na = self._oracle_or_na(AxiomId.FRAGILE)
-        if na:
-            return na
-        hit = self.first_triple(FRAGILE_HIT, 0)
-        if hit:
-            x, y, z = (self.points[t] for t in hit)
-            part = self.rel.segment(x, y, z)
-            strict = iv.union(part.section("gt"), part.section("lt"))
-            target = iv.closure(iv.interior(part.section("incomparable")))
-            return AxiomVerdict(
-                AxiomId.FRAGILE, Status.HOLDS,
-                {"x": x, "y": y, "z": z,
-                 "lam": representative(iv.intersect(strict, target))},
-                note="strict weight inside the closure of open incomparability",
-            )
-        return _fails(AxiomId.FRAGILE, note="no fragile weight on the universe")
-
-    def _check_flimsy(self):
-        na = self._oracle_or_na(AxiomId.FLIMSY)
-        if na:
-            return na
-        hit = self.first_triple(FLIMSY_HIT, 0)
-        if hit:
-            x, y, z = (self.points[t] for t in hit)
-            part = self.rel.segment(x, y, z)
-            bowtie = part.section("incomparable")
-            comparable = iv.union(part.section("ge"), part.section("le"))
-            return AxiomVerdict(
-                AxiomId.FLIMSY, Status.HOLDS,
-                {"x": x, "y": y, "z": z,
-                 "lam": representative(iv.intersect(bowtie, iv.closure(comparable)))},
-                note="incomparable weight is a limit of comparable weights",
-            )
-        return _fails(AxiomId.FLIMSY, note="no flimsy weight on the universe")
+    _check_fragile = _existential_axiom(
+        AxiomId.FRAGILE, FRAGILE_HIT,
+        "strict weight inside the closure of open incomparability",
+        lambda part: iv.intersect(iv.union(part.section("gt"), part.section("lt")),
+                                  iv.closure(iv.interior(part.section("incomparable")))))
+    _check_flimsy = _existential_axiom(
+        AxiomId.FLIMSY, FLIMSY_HIT,
+        "incomparable weight is a limit of comparable weights",
+        lambda part: iv.intersect(part.section("incomparable"),
+                                  iv.closure(iv.union(part.section("ge"), part.section("le")))))

@@ -100,10 +100,14 @@ def load_model(path: str, grid_override=None, depth_override=None):
         raise ModelError(f"unsupported relation kind: {kind!r}")
 
     if "space" in raw:
-        if not isinstance(raw["space"], dict):
+        declared = raw["space"]
+        # a quotient relation's echo declares the quotient of its base's carrier
+        if quotient_wrapped and isinstance(declared, dict) and declared.get("kind") == "quotient":
+            declared = declared.get("base")
+        if not isinstance(declared, dict):
             raise ModelError("space descriptor must be a JSON object")
         try:
-            declared = space_from_json(raw["space"])
+            declared = space_from_json(declared)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"bad space descriptor: {exc}")
         if declared.descriptor() != space.descriptor():

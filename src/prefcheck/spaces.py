@@ -631,6 +631,10 @@ def space_from_json(obj: dict) -> MixtureSpace:
         return RealInterval(rat_from_json(obj["lo"]), rat_from_json(obj["hi"]))
     if kind == "split":
         return SplitSpace()
+    if kind == "root2_interval":
+        from .quadratic import RootTwoUnitInterval  # quadratic imports this module
+
+        return RootTwoUnitInterval()
     raise ValueError(f"unknown space kind: {kind!r}")
 
 

@@ -212,6 +212,35 @@ def test_strong_archimedean_verdicts():
     assert entry_engine("eu3").verdict(AxiomId.STRONG_ARCHIMEDEAN).passed
 
 
+def test_archimedean_tie_rule():
+    """Per target the upper half is tried before the lower half: where the
+    first misses of both halves fall on one target, strong Archimedean
+    reports the upper half.  Plain Archimedean names a lower-half partner w."""
+    # u(z) - u(y) = (-1, 1, 0) and u(x) - u(y) = (0, 0, 1): z is incomparable
+    # to x and y, x z never rises above y, and y z never sinks below x
+    rel = MultiUtility(((-1, 0, 0), (1, 0, 0), (0, 1, 0)))
+    z, x, y = rel.space.vertices()
+    engine = _assert_verdicts_match(rel, Universe((z, x, y), closure_depth=0))
+    assert engine.strict_pairs() == [(1, 2)]
+    strong = engine.verdict(AxiomId.STRONG_ARCHIMEDEAN)
+    assert strong.failed
+    assert strong.note == "no interior weight keeps x-side strictly above y"
+    assert strong.witness == {"x": x, "y": y, "z": z,
+                              "section": rel.section(x, z, y, "gt")}
+    assert rel.section(y, z, x, "lt") == point(1)
+
+    # w is incomparable to x only and above y, so only the lower half asks
+    # for it, and y w never sinks below x
+    rel = MultiUtility(((0, 0, 1), (1, 0, 0)))
+    x, y, w = rel.space.vertices()
+    engine = _assert_verdicts_match(rel, Universe((x, y, w), closure_depth=0))
+    plain = engine.verdict(AxiomId.ARCHIMEDEAN)
+    assert plain.failed
+    assert plain.note == "no interior weight keeps y-side strictly below x"
+    assert plain.witness == {"x": x, "y": y, "w": w,
+                             "section": rel.section(y, w, x, "lt")}
+
+
 def test_pointwise_strong_archimedean_for_quadratic_entry():
     engine = entry_engine("appx4_rationals")
     verdict = engine.verdict(AxiomId.STRONG_ARCHIMEDEAN)
@@ -768,3 +797,36 @@ def test_verdicts_match_past_255_flag_words():
     assert len(engine._words) > 256
     assert type(engine.flag_row(8, 8)) is list
     assert engine.verdict("fragile").witness["x"] == rel.points[8]
+
+
+def _assert_convexity_scans_lazily(rel, universe):
+    """`convex` and `concave` each compute, from a fresh engine, the flag
+    rows of exactly the pairs i <= j met up to the witness whose points
+    are both weakly above (below) some point."""
+    for name, above in (("convex", True), ("concave", False)):
+        engine = AxiomEngine(rel, universe)
+        verdict = engine.verdict(name)
+        p, n = engine.points, len(engine.points)
+        weak = [sum(1 << k for k, z in enumerate(p)
+                    if rel.compare(*((x, z) if above else (z, x)))
+                    in (ComparisonOutcome.BETTER, ComparisonOutcome.EQUIVALENT))
+                for x in p]
+        stop = (n, n)
+        if verdict.failed:
+            stop = (p.index(verdict.witness["x"]), p.index(verdict.witness["y"]))
+        assert set(engine._flag_rows) == {
+            i * n + j for i in range(n) for j in range(i, n)
+            if (i, j) <= stop and weak[i] & weak[j]}, name
+
+
+def test_convexity_scans_skip_pairs_with_no_candidate():
+    entry = load_entry("pareto2")
+    _assert_convexity_scans_lazily(
+        entry.relation, Universe(entry.universe.points, 1, entry.universe.grid))
+
+
+@settings(max_examples=50, deadline=None)
+@given(multi_utility_universes())
+def test_multi_utility_convexity_scans_skip_pairs_with_no_candidate(case):
+    rows, points = case
+    _assert_convexity_scans_lazily(MultiUtility(rows), Universe(points, closure_depth=0))

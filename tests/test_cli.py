@@ -8,6 +8,7 @@ import pytest
 
 import prefcheck
 from prefcheck.axioms import AxiomEngine
+from prefcheck.catalog import ENTRY_IDS
 from prefcheck.cli import main
 
 
@@ -326,6 +327,24 @@ def test_json_reports_are_byte_identical(tmp_path, capsys):
     _, first, _ = run_cli(capsys, "axioms", model, "--json")
     _, second, _ = run_cli(capsys, "axioms", model, "--json")
     assert first == second
+
+
+@pytest.mark.parametrize("relation", [
+    *({"kind": "catalog", "id": eid} for eid in ENTRY_IDS),
+    {"kind": "quotient", "base": {"kind": "catalog", "id": "split_hm"}},
+], ids=[*ENTRY_IDS, "quotient_split_hm"])
+def test_model_echo_replays_to_the_same_report(tmp_path, capsys, relation):
+    """The `model` block of an `axioms --json` report is a model file that
+    gives the same report back, byte for byte."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"relation": relation}))
+    code, report, _ = run_cli(capsys, "axioms", str(model), "--json")
+    assert code == 0
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(json.loads(report)["model"]))
+    code, replay, err = run_cli(capsys, "axioms", str(echo), "--json")
+    assert (code, err) == (0, "")
+    assert replay == report
 
 
 def test_fuzz_subcommand(capsys):

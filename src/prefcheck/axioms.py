@@ -9,14 +9,15 @@ not sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from typing import Optional, Union
 
 from . import intervals as iv
 from .intervals import OPEN_UNIT, SectionSet, representative
+from .records import record
 from .relations import (
     CLOSED,
     CONVEX,
@@ -81,7 +82,7 @@ ALL_AXIOMS = ORDER_AXIOMS + (
 ) + CONVEXITY_AXIOMS + (AxiomId.INDEPENDENT, AxiomId.FRAGILE, AxiomId.FLIMSY)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Universe:
     """Finite instantiation of the carrier: base points, mixture-closure
     depth, and the rational weight grid used for closure and sampling."""
@@ -127,6 +128,13 @@ _SAME, _OTHER = 1, 2
 # marks are ASCII digits, so a row of them reversed is the binary numeral of
 # the int whose bit k is mark k
 _MARK, _CLEAR = ord("1"), ord("0")
+
+
+@lru_cache(maxsize=16)  # one per outcome mask, of which there are 16
+def _outcome_marks(outcomes: int) -> bytes:
+    """`bytes.translate` table taking an outcome byte to _MARK where its
+    bit is in `outcomes`, and to _CLEAR elsewhere."""
+    return bytes(_MARK if bit & outcomes else _CLEAR for bit in range(256))
 
 
 def _bitset(marks: bytes) -> int:
@@ -363,7 +371,7 @@ class AxiomEngine:
         key = (outcomes, transposed)
         got = self._outcome_rows.get(key)
         if got is None:
-            marks = bytes(_MARK if bit & outcomes else _CLEAR for bit in range(256))
+            marks = _outcome_marks(outcomes)
             got = self._outcome_rows[key] = [
                 _bitset(row.translate(marks)) for row in self._outcome_table()[transposed]
             ]

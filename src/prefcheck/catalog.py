@@ -10,7 +10,6 @@ of the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -24,6 +23,7 @@ from .quadratic import (
     is_rational_point,
     quad_pt,
 )
+from .records import field, record
 from .relations import (
     CatalogPiecewise,
     ComparisonOutcome,
@@ -61,7 +61,7 @@ class UnknownEntryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SectionCheck:
     x: Point
     y: Point
@@ -70,7 +70,7 @@ class SectionCheck:
     expected: SectionSet
 
 
-@dataclass
+@record
 class CatalogEntry:
     id: str
     space: MixtureSpace
@@ -608,7 +608,7 @@ def load_entry(entry_id: str) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class EntryReport:
     entry_id: str
     verdicts: dict[str, AxiomVerdict]
@@ -636,7 +636,7 @@ class EntryReport:
         return out
 
 
-@dataclass
+@record
 class CatalogReport:
     entries: list[EntryReport]
 

@@ -9,10 +9,11 @@ set equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
+
+from .records import record
 
 Rational = Fraction
 
@@ -29,7 +30,7 @@ class MalformedIntervalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Interval:
     """One subinterval of [0,1]; degenerate points are closed-closed."""
 
@@ -38,10 +39,17 @@ class Interval:
     lo_closed: bool = True
     hi_closed: bool = True
 
-    def __post_init__(self):
-        if not (ZERO <= self.lo <= self.hi <= ONE):
+    def __init__(self, lo: Fraction, hi: Fraction, lo_closed: bool = True,
+                 hi_closed: bool = True):
+        # written out, as the generic record __init__ loops
+        set_ = object.__setattr__
+        set_(self, "lo", lo)
+        set_(self, "hi", hi)
+        set_(self, "lo_closed", lo_closed)
+        set_(self, "hi_closed", hi_closed)
+        if not (ZERO <= lo <= hi <= ONE):
             raise MalformedIntervalError(f"bounds outside [0,1] or inverted: {self}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+        if lo == hi and not (lo_closed and hi_closed):
             raise MalformedIntervalError(f"empty interval is unrepresentable: {self}")
 
     def __contains__(self, q: Fraction) -> bool:
@@ -87,11 +95,15 @@ def _mergeable(left: Interval, right: Interval) -> bool:
     return right.lo == left.hi and (left.hi_closed or right.lo_closed)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SectionSet:
     """Canonical finite union of intervals; () is the empty set."""
 
     intervals: tuple[Interval, ...] = ()
+
+    def __init__(self, intervals: tuple[Interval, ...] = ()):
+        # written out, as the generic record __init__ loops
+        object.__setattr__(self, "intervals", intervals)
 
     def __contains__(self, q: Fraction) -> bool:
         return any(q in iv for iv in self.intervals)
@@ -220,7 +232,7 @@ def interior(a: SectionSet) -> SectionSet:
     return normalize(pieces)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TopologyReport:
     is_closed: bool
     is_open: bool

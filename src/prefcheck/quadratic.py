@@ -7,9 +7,9 @@ with both rational and quadratic weights and to decide signs exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .records import record
 from .spaces import VECTOR_HOOKS, MixtureSpace, Point, mix_vectors, vector_key, vector_point
 
 
@@ -32,10 +32,15 @@ def quad_sign(a: Fraction, b: Fraction) -> int:
     return sa if m * m > 2 * n * n else sb
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuadRat:
     a: Fraction
     b: Fraction = Fraction(0)
+
+    def __init__(self, a: Fraction, b: Fraction = Fraction(0)):
+        # written out, as the generic record __init__ loops
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @staticmethod
     def of(value) -> "QuadRat":
@@ -107,7 +112,7 @@ def is_rational_point(p: Point) -> bool:
     return p.coords[1] == 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RootTwoUnitInterval(MixtureSpace):
     """The real interval [0,1] restricted to Q(sqrt(2)) coordinates."""
 

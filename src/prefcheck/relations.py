@@ -7,7 +7,6 @@ the unit interval.  All section sets are read off that partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
@@ -17,6 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import intervals as iv
 from .intervals import Interval, SectionSet
+from .records import record
 from .spaces import CarrierError, MixtureSpace, Point, RealInterval, Simplex
 
 
@@ -151,7 +151,7 @@ def _flag_word(pieces) -> int:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LabeledPartition:
     """Exact cover of [0,1] by labeled intervals, sorted and disjoint;
     construction raises PartitionError on a gap or an overlap.

@@ -14,12 +14,12 @@ verifier then demands exact order agreement and mixture preservation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .axioms import AxiomEngine, AxiomId
 from .intervals import OPEN_UNIT, analyze, intersect
+from .records import field, record
 from .relations import ComparisonOutcome
 from .spaces import Point, value_to_json
 
@@ -28,7 +28,7 @@ class CalibrationError(ValueError):
     pass
 
 
-@dataclass
+@record
 class UtilityRepresentation:
     anchor_low: Point
     anchor_high: Point
@@ -47,7 +47,7 @@ class UtilityRepresentation:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CalibrationStep:
     point: Point
     case: str  # "anchor", "i", "ii", "iii"
@@ -55,7 +55,7 @@ class CalibrationStep:
     warning: Optional[str] = None
 
 
-@dataclass
+@record
 class CalibrationTrace:
     steps: list[CalibrationStep] = field(default_factory=list)
 
@@ -192,7 +192,7 @@ def representation_value(
     return rep.values[p]
 
 
-@dataclass
+@record
 class VerificationReport:
     order_checked: int = 0
     mixture_checked: int = 0

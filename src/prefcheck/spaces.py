@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -18,22 +17,27 @@ from types import MethodType
 from typing import TYPE_CHECKING, Optional
 
 from .intervals import ONE, ZERO, Interval, SectionSet, rat
+from .records import record
 from .verdicts import AxiomVerdict, Status
 
 if TYPE_CHECKING:  # pragma: no cover
     from .relations import RelationModel
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Point:
     """Carrier element; `part` tags the arm for split-space points."""
 
     coords: tuple[Fraction, ...]
     part: Optional[str] = None
 
-    def __post_init__(self):
+    def __init__(self, coords: tuple[Fraction, ...], part: Optional[str] = None):
+        # written out, as the generic record __init__ loops
+        set_ = object.__setattr__
+        set_(self, "coords", coords)
+        set_(self, "part", part)
         # points are dict keys in every cache; Fraction hashing is costly
-        object.__setattr__(self, "_hash", hash((self.coords, self.part)))
+        set_(self, "_hash", hash((coords, part)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -139,7 +143,7 @@ class MixtureSpace:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Simplex(MixtureSpace):
     """Probability vectors with `dim` coordinates (dim vertices)."""
 
@@ -169,7 +173,7 @@ class Simplex(MixtureSpace):
         return {"kind": "simplex", "dim": self.dim}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RealInterval(MixtureSpace):
     lo: Fraction
     hi: Fraction
@@ -190,7 +194,7 @@ class RealInterval(MixtureSpace):
 _ORIGIN = (0, 0, 1)  # the vector key of (0, 0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SplitSpace(MixtureSpace):
     """Two arms glued at the origin: A = {0} x [0,1], B = (0,1] x {0}.
 
@@ -242,7 +246,7 @@ class QuotientError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuotientSpace(MixtureSpace):
     """Carrier of equivalence classes, represented by canonical members.
 

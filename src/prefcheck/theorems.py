@@ -9,14 +9,14 @@ consistent=false can only come from a bug in a checker or oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .axioms import AxiomEngine, AxiomId
+from .records import field, record
 from .verdicts import AxiomVerdict, Status
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rule:
     hypotheses: tuple[tuple[str, bool], ...]
     conclusions: tuple[tuple[str, bool], ...] = ()
@@ -129,7 +129,7 @@ THEOREMS: dict[str, Rule] = {
 THEOREM_IDS = tuple(THEOREMS)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HarnessReport:
     theorem: str
     variant: Optional[str]
@@ -139,6 +139,22 @@ class HarnessReport:
     consistent: bool
     intermediates: dict[str, AxiomVerdict] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
+
+    def __init__(self, theorem: str, variant: Optional[str],
+                 hypotheses: dict[str, AxiomVerdict], conclusions: dict[str, AxiomVerdict],
+                 applicable: bool, consistent: bool,
+                 intermediates: Optional[dict[str, AxiomVerdict]] = None,
+                 notes: tuple[str, ...] = ()):
+        # written out, as the generic record __init__ loops
+        set_ = object.__setattr__
+        set_(self, "theorem", theorem)
+        set_(self, "variant", variant)
+        set_(self, "hypotheses", hypotheses)
+        set_(self, "conclusions", conclusions)
+        set_(self, "applicable", applicable)
+        set_(self, "consistent", consistent)
+        set_(self, "intermediates", {} if intermediates is None else intermediates)
+        set_(self, "notes", notes)
 
     def to_json(self) -> dict:
         out = {

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
+
+from .records import record
 
 
 class Status(str, Enum):
@@ -14,7 +15,7 @@ class Status(str, Enum):
     NOT_APPLICABLE = "not_applicable"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AxiomVerdict:
     """Outcome of one check.
 
@@ -28,6 +29,15 @@ class AxiomVerdict:
     status: Status
     witness: Optional[dict] = None
     note: Optional[str] = None
+
+    def __init__(self, axiom: str, status: Status, witness: Optional[dict] = None,
+                 note: Optional[str] = None):
+        # written out, as the generic record __init__ loops
+        set_ = object.__setattr__
+        set_(self, "axiom", axiom)
+        set_(self, "status", status)
+        set_(self, "witness", witness)
+        set_(self, "note", note)
 
     @property
     def passed(self) -> bool:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefcheck import intervals as iv
@@ -596,7 +596,8 @@ def test_every_witnessed_verdict_reverifies(entry_engines):
 def _section_verdicts_by_definition(rel, pts):
     """(status, witness) of every section axiom from the first `product`
     tuple whose partition flags (`rel.segment(...).flags`) break it; for
-    the ge/le section-convexity scans (`lemma1_suite`) the triple alone."""
+    the ge/le section-convexity scans (`lemma1_suite`) the triple alone.
+    The two Archimedean axioms also give their note, which names the side."""
     better = ComparisonOutcome.BETTER
 
     def flags(x, y, z):
@@ -654,6 +655,8 @@ def _section_verdicts_by_definition(rel, pts):
         ) if t else (Status.HOLDS, None)
 
     gt_meets, lt_meets = flag_bit("gt", MEETS_OPEN_UNIT), flag_bit("lt", MEETS_OPEN_UNIT)
+    side_note = {"g": "no interior weight keeps x-side strictly above y",
+                 "l": "no interior weight keeps y-side strictly below x"}
     pairs = [(x, y) for x, y in product(pts, repeat=2) if rel.compare(x, y) is better]
     # strong: every z, upper half before lower half
     t = first(((x, y, z, half) for (x, y), z, half in product(pairs, pts, "gl")),
@@ -662,8 +665,8 @@ def _section_verdicts_by_definition(rel, pts):
     out["strong_archimedean"] = (Status.FAILS, {
         "x": t[0], "y": t[1], "z": t[2],
         "section": (rel.section(t[0], t[2], t[1], "gt") if t[3] == "g"
-                    else rel.section(t[1], t[2], t[0], "lt"))},
-    ) if t else (Status.HOLDS, None)
+                    else rel.section(t[1], t[2], t[0], "lt"))}, side_note[t[3]],
+    ) if t else (Status.HOLDS, None, None if pairs else "vacuous: no strict pair")
     # plain: z runs over y's incomparable partners, then w over x's
     partners = {p: [q for q in pts if rel.compare(p, q) is ComparisonOutcome.INCOMPARABLE]
                 for p in pts}
@@ -673,13 +676,17 @@ def _section_verdicts_by_definition(rel, pts):
               lambda x, y, half, v: not (flags(x, v, y) & gt_meets if half == "g"
                                          else flags(y, v, x) & lt_meets))
     if t is None:
-        out["archimedean"] = (Status.HOLDS, None)
+        guarded = any(partners[x] or partners[y] for x, y in pairs)
+        out["archimedean"] = (Status.HOLDS, None,
+                              None if guarded else "vacuous: no qualifying tuple")
     elif t[2] == "g":
         out["archimedean"] = (Status.FAILS, {
-            "x": t[0], "y": t[1], "z": t[3], "section": rel.section(t[0], t[3], t[1], "gt")})
+            "x": t[0], "y": t[1], "z": t[3], "section": rel.section(t[0], t[3], t[1], "gt")},
+            side_note["g"])
     else:
         out["archimedean"] = (Status.FAILS, {
-            "x": t[0], "y": t[1], "w": t[3], "section": rel.section(t[1], t[3], t[0], "lt")})
+            "x": t[0], "y": t[1], "w": t[3], "section": rel.section(t[1], t[3], t[0], "lt")},
+            side_note["l"])
 
     # existential: the first hit holds, witnessed by its triple
     for name, bit in (("fragile", FRAGILE_HIT), ("flimsy", FLIMSY_HIT)):
@@ -704,9 +711,11 @@ def _assert_verdicts_match(rel, universe):
             bad = engine.first_section_failure(((which, CONVEX),))
             assert bad == (None if witness is None else
                            (witness["x"], witness["y"], witness["z"], which)), which
-    for name, (status, witness) in expected.items():
+    for name, (status, witness, *note) in expected.items():
         verdict = _verdict(engine, name)
         assert verdict.status is status, name
+        if note:  # the Archimedean side
+            assert verdict.note == note[0], name
         if witness is None or name in order:
             assert verdict.witness == witness, name
         else:  # its leading keys, in order; `lam` is built from the section
@@ -733,6 +742,11 @@ def multi_utility_universes(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(multi_utility_universes())
+# both Archimedean sides miss first at one target, which about 1 in 2,000
+# drawn cases does: strong Archimedean must name the upper side, and plain
+# Archimedean the lower side of its partner w (`test_archimedean_tie_rule`)
+@example((((-1, 0, 0), (1, 0, 0), (0, 1, 0)), (pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))))
+@example((((0, 0, 1), (1, 0, 0)), (pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))))
 def test_multi_utility_section_verdicts_match_their_definitions(case):
     rows, points = case
     _assert_verdicts_match(MultiUtility(rows), Universe(points, closure_depth=0))

@@ -39,17 +39,10 @@ class Interval:
     lo_closed: bool = True
     hi_closed: bool = True
 
-    def __init__(self, lo: Fraction, hi: Fraction, lo_closed: bool = True,
-                 hi_closed: bool = True):
-        # written out, as the generic record __init__ loops
-        set_ = object.__setattr__
-        set_(self, "lo", lo)
-        set_(self, "hi", hi)
-        set_(self, "lo_closed", lo_closed)
-        set_(self, "hi_closed", hi_closed)
-        if not (ZERO <= lo <= hi <= ONE):
+    def __post_init__(self):
+        if not (ZERO <= self.lo <= self.hi <= ONE):
             raise MalformedIntervalError(f"bounds outside [0,1] or inverted: {self}")
-        if lo == hi and not (lo_closed and hi_closed):
+        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
             raise MalformedIntervalError(f"empty interval is unrepresentable: {self}")
 
     def __contains__(self, q: Fraction) -> bool:
@@ -100,10 +93,6 @@ class SectionSet:
     """Canonical finite union of intervals; () is the empty set."""
 
     intervals: tuple[Interval, ...] = ()
-
-    def __init__(self, intervals: tuple[Interval, ...] = ()):
-        # written out, as the generic record __init__ loops
-        object.__setattr__(self, "intervals", intervals)
 
     def __contains__(self, q: Fraction) -> bool:
         return any(q in iv for iv in self.intervals)

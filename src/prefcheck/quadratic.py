@@ -37,11 +37,6 @@ class QuadRat:
     a: Fraction
     b: Fraction = Fraction(0)
 
-    def __init__(self, a: Fraction, b: Fraction = Fraction(0)):
-        # written out, as the generic record __init__ loops
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
     @staticmethod
     def of(value) -> "QuadRat":
         if isinstance(value, QuadRat):

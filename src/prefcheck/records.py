@@ -6,8 +6,7 @@
 over the field tuple, and for frozen classes assignment that raises.  It
 attaches plain closures instead of compiling source for each class, so an
 import compiles no code and loads no `inspect`.  Fields are the class's own
-annotations; a method the class defines itself is kept.  A hot class may
-write its `__init__` out: the generic one loops over the fields in Python.
+annotations; a method the class defines itself is kept.
 """
 
 from operator import attrgetter
@@ -22,14 +21,14 @@ class field:
         self.default_factory = default_factory
 
 
-def record(cls=None, /, *, frozen=False, eq=True):
-    """Class decorator, `@record` or `@record(frozen=True, eq=False)`."""
+def record(cls=None, /, *, frozen=False):
+    """Class decorator, `@record` or `@record(frozen=True)`."""
     if cls is None:
-        return lambda cls: _build(cls, frozen, eq)
-    return _build(cls, frozen, eq)
+        return lambda cls: _build(cls, frozen)
+    return _build(cls, frozen)
 
 
-def _build(cls, frozen, eq):
+def _build(cls, frozen):
     body = vars(cls)
     names = tuple(cls.__annotations__)
     defaults = {name: body[name] for name in names if name in body}
@@ -76,9 +75,7 @@ def _build(cls, frozen, eq):
     def __delattr__(self, name):
         raise AttributeError(f"{cls.__name__} is frozen: cannot delete {name!r}")
 
-    methods = [__init__, __repr__]
-    if eq:
-        methods.append(__eq__)
+    methods = [__init__, __repr__, __eq__]
     if frozen:
         methods += [__setattr__, __delattr__]
     for method in methods + [__hash__]:
@@ -88,6 +85,6 @@ def _build(cls, frozen, eq):
             setattr(cls, method.__name__, method)
     cls.__match_args__ = names
     # a class body that defines __eq__ gets __hash__ = None from Python itself
-    if eq and body.get("__hash__") is None:
+    if body.get("__hash__") is None:
         cls.__hash__ = __hash__ if frozen else None
     return cls

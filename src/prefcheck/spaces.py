@@ -24,20 +24,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from .relations import RelationModel
 
 
-@record(frozen=True, eq=False)
+@record(frozen=True)
 class Point:
     """Carrier element; `part` tags the arm for split-space points."""
 
     coords: tuple[Fraction, ...]
     part: Optional[str] = None
 
-    def __init__(self, coords: tuple[Fraction, ...], part: Optional[str] = None):
-        # written out, as the generic record __init__ loops
-        set_ = object.__setattr__
-        set_(self, "coords", coords)
-        set_(self, "part", part)
+    def __post_init__(self):
         # points are dict keys in every cache; Fraction hashing is costly
-        set_(self, "_hash", hash((coords, part)))
+        object.__setattr__(self, "_hash", hash((self.coords, self.part)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -140,22 +140,6 @@ class HarnessReport:
     intermediates: dict[str, AxiomVerdict] = field(default_factory=dict)
     notes: tuple[str, ...] = ()
 
-    def __init__(self, theorem: str, variant: Optional[str],
-                 hypotheses: dict[str, AxiomVerdict], conclusions: dict[str, AxiomVerdict],
-                 applicable: bool, consistent: bool,
-                 intermediates: Optional[dict[str, AxiomVerdict]] = None,
-                 notes: tuple[str, ...] = ()):
-        # written out, as the generic record __init__ loops
-        set_ = object.__setattr__
-        set_(self, "theorem", theorem)
-        set_(self, "variant", variant)
-        set_(self, "hypotheses", hypotheses)
-        set_(self, "conclusions", conclusions)
-        set_(self, "applicable", applicable)
-        set_(self, "consistent", consistent)
-        set_(self, "intermediates", {} if intermediates is None else intermediates)
-        set_(self, "notes", notes)
-
     def to_json(self) -> dict:
         out = {
             "theorem": self.theorem,

@@ -30,15 +30,6 @@ class AxiomVerdict:
     witness: Optional[dict] = None
     note: Optional[str] = None
 
-    def __init__(self, axiom: str, status: Status, witness: Optional[dict] = None,
-                 note: Optional[str] = None):
-        # written out, as the generic record __init__ loops
-        set_ = object.__setattr__
-        set_(self, "axiom", axiom)
-        set_(self, "status", status)
-        set_(self, "witness", witness)
-        set_(self, "note", note)
-
     @property
     def passed(self) -> bool:
         return self.status in (Status.HOLDS, Status.SAMPLED)

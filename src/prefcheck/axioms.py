@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
-from typing import Optional, Union
+from operator import or_
 
 from . import intervals as iv
 from .intervals import OPEN_UNIT, SectionSet, representative
@@ -292,7 +292,7 @@ class AxiomEngine:
         self.grid = tuple(universe.grid)
         # a closure is the prefix of the table that mixed it; without one
         # the table waits for the first scan that mixes
-        self._mixtures: Optional[MixTable] = None
+        self._mixtures: MixTable | None = None
         if universe.closure_depth > 0:
             self._mixtures = closure_table(
                 self.space, universe.points, self.grid, universe.closure_depth)
@@ -302,15 +302,15 @@ class AxiomEngine:
         self._n = len(self.points)
         self._index = {p: i for i, p in enumerate(self.points)}
         self._cmp: dict[tuple[Point, Point], ComparisonOutcome] = {}
-        self._outcomes: Optional[tuple[list[bytes], list[bytes]]] = None
+        self._outcomes: tuple[list[bytes], list[bytes]] | None = None
         self._outcome_rows: dict[tuple[int, bool], list[int]] = {}
         self._row_kernel = None
-        self._flag_rows: dict[int, Union[bytes, list[int]]] = {}
+        self._flag_rows: dict[int, bytes | list[int]] = {}
         self._words: list[int] = []
         self._word_ids: dict[int, int] = {}
         self._mark_tables: dict[tuple[int, int], bytes] = {}
         self._verdicts: dict[str, AxiomVerdict] = {}
-        self._strict_pairs: Optional[list[tuple[int, int]]] = None
+        self._strict_pairs: list[tuple[int, int]] | None = None
 
     # -- mixtures -------------------------------------------------------------
 
@@ -389,7 +389,7 @@ class AxiomEngine:
     def section(self, x, y, z, which: str) -> SectionSet:
         return self.rel.segment(x, y, z).section(which)
 
-    def flag_row(self, i: int, j: int) -> Union[bytes, list[int]]:
+    def flag_row(self, i: int, j: int) -> bytes | list[int]:
         """Ids of the flag words of points (i, j, k) for every k, computed
         on first use.  Flag words are mirror invariant, so (j, i) shares it."""
         if j < i:
@@ -430,7 +430,7 @@ class AxiomEngine:
             ).ljust(256, b"0")
         return row.translate(table)
 
-    def first_triple(self, mask: int, expect: int, among: Optional[list[int]] = None):
+    def first_triple(self, mask: int, expect: int, among: list[int] | None = None):
         """Point numbers (i, j, k) of the first triple in scan order whose
         flag word, masked by `mask`, is not `expect`; None when there is none.
 
@@ -569,14 +569,29 @@ class AxiomEngine:
     _check_lower_sections_convex = _section_axiom(
         "lower_sections_convex", ("le", CONVEX))
 
-    def _side_miss(self, i: int, j: int, targets, upper: bool) -> Optional[int]:
-        """First point number k of `targets` with no interior weight that
-        keeps the mixture of x = points[i] with points[k] strictly above
-        y = points[j] (`upper`), or else that of y with points[k] strictly
-        below x; None when there is none."""
-        a, b, meets = (i, j, GT_MEETS) if upper else (j, i, LT_MEETS)
-        words, row = self._words, self.flag_row
-        return next((k for k in targets if not words[row(a, k)[b]] & meets), None)
+    def _least_misses(self, a: int, upper: bool, guard: list[int] | None = None) -> list[int]:
+        """Per point number b, the least point number k with no interior
+        weight that keeps the mixture of points[a] with points[k] strictly
+        above points[b] (`upper`), or else strictly below it; n where there
+        is none.  With `guard`, one n-bit int per b, k runs only over the
+        bits of guard[b].
+
+        The marks of rows {a, k}, k = 0..n-1, are joined into one n x n
+        block whose column b, `block[b::n]`, marks the misses of b.  A row
+        whose k is in no guard is left clear, and its flag row is not built."""
+        n = self._n
+        meets = GT_MEETS if upper else LT_MEETS
+        rows = (1 << n) - 1 if guard is None else reduce(or_, guard, 0)
+        clear = bytes([_CLEAR]) * n
+        block = b"".join(self._marks(a, k, meets, meets) if rows >> k & 1 else clear
+                         for k in range(n))
+        if guard is None:
+            return [n if (k := block[b::n].find(_MARK)) < 0 else k for b in range(n)]
+        misses = []
+        for b, among in enumerate(guard):
+            bits = among and _bitset(block[b::n]) & among
+            misses.append(_lowest(bits) if bits else n)
+        return misses
 
     def _archimedean_miss(self, axiom, i: int, j: int, k: int, upper: bool, name="z"):
         """`axiom` fails on the strict pair (i, j) at the side miss k,
@@ -599,10 +614,14 @@ class AxiomEngine:
         na = self._oracle_or_na(AxiomId.ARCHIMEDEAN)
         if na:
             return na
+        # the least misses of each (point, side), guarded per target point
+        n, misses = self._n, {}
         for i, j in guarded:
-            for upper, partners, name in ((True, incomp[j], "z"), (False, incomp[i], "w")):
-                k = self._side_miss(i, j, _members(partners), upper)
-                if k is not None:
+            for upper, a, b, name in ((True, i, j, "z"), (False, j, i, "w")):
+                if (a, upper) not in misses:
+                    misses[a, upper] = self._least_misses(a, upper, incomp)
+                k = misses[a, upper][b]
+                if k < n:
                     return self._archimedean_miss(AxiomId.ARCHIMEDEAN, i, j, k, upper, name)
         return _holds(AxiomId.ARCHIMEDEAN)
 
@@ -612,14 +631,18 @@ class AxiomEngine:
             return _holds(AxiomId.STRONG_ARCHIMEDEAN, note="vacuous: no strict pair")
         if not self.rel.has_segment_oracle:
             return self._strong_archimedean_pointwise(pairs)
+        n, uppers, lowers = self._n, {}, {}
         for i, j in pairs:
-            # per target the upper side comes first, so the lower side is
-            # scanned only up to the first upper miss
-            up = self._side_miss(i, j, range(self._n), True)
-            down = self._side_miss(i, j, range(self._n if up is None else up), False)
-            if down is not None:
+            if i not in uppers:
+                uppers[i] = self._least_misses(i, True)
+            if j not in lowers:
+                lowers[j] = self._least_misses(j, False)
+            up, down = uppers[i][j], lowers[j][i]
+            # per target the upper side comes first, so the lower side wins
+            # only below the first upper miss
+            if down < up:
                 return self._archimedean_miss(AxiomId.STRONG_ARCHIMEDEAN, i, j, down, False)
-            if up is not None:
+            if up < n:
                 return self._archimedean_miss(AxiomId.STRONG_ARCHIMEDEAN, i, j, up, True)
         return _holds(AxiomId.STRONG_ARCHIMEDEAN)
 
@@ -714,7 +737,7 @@ class AxiomEngine:
         # row[i]: the numbers of x_i mixed with each z_k at each weight, in
         # scan order (k, then lam); a pair of them is equivalent when
         # states[(a, b)] is _SAME, and not when it is _OTHER
-        row: list[Optional[list[int]]] = [None] * n
+        row: list[list[int] | None] = [None] * n
         states: dict[tuple[int, int], int] = {}
 
         def mixtures(i: int) -> list[int]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from . import intervals as iv
 from .axioms import AxiomEngine, Universe
@@ -615,7 +614,7 @@ class EntryReport:
     space_verdicts: dict[str, AxiomVerdict]
     section_results: list[dict]
     theorem_reports: list[HarnessReport]
-    representation: Optional[dict]
+    representation: dict | None
     mismatches: list[str]
 
     @property

@@ -14,7 +14,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
 
 from .axioms import ALL_AXIOMS, AxiomEngine, Universe
 from .catalog import UnknownEntryError, load_entry, run_catalog
@@ -402,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

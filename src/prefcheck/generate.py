@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import os
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from math import lcm
 from operator import sub
-from typing import Iterator, Optional
 
 from . import intervals as iv
 from .axioms import AxiomEngine, AxiomId, Universe
@@ -41,7 +41,7 @@ def env_seed() -> int:
         raise ValueError(f"PREFCHECK_SEED must be an integer, got {raw!r}") from None
 
 
-def seeded_rng(seed: Optional[int] = None) -> random.Random:
+def seeded_rng(seed: int | None = None) -> random.Random:
     return random.Random(env_seed() if seed is None else seed)
 
 
@@ -62,7 +62,7 @@ def random_simplex_point(rng: random.Random, n_coords: int) -> Point:
 
 
 def _incomparable_partner(rel: MultiUtility, points: list[Point],
-                          target: Point) -> Optional[Point]:
+                          target: Point) -> Point | None:
     """A point incomparable to `target`, constructed when none of `points`
     is; None when one of `points` already is, or when the search finds none.
     `target` must be one of `points`.
@@ -170,7 +170,7 @@ def random_pareto_instance(
     raise RuntimeError("could not draw an incomplete nontrivial instance")
 
 
-def fuzz_corpus(count: int, seed: Optional[int] = None) -> Iterator[tuple[str, MultiUtility, Universe]]:
+def fuzz_corpus(count: int, seed: int | None = None) -> Iterator[tuple[str, MultiUtility, Universe]]:
     """Deterministic stream of instances cycling utility counts and simplex sizes."""
     rng = seeded_rng(seed)
     shapes = [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]

@@ -9,9 +9,9 @@ set equality.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
 
 from .records import record
 
@@ -145,7 +145,7 @@ def union(a: SectionSet, b: SectionSet) -> SectionSet:
     return normalize(a.intervals + b.intervals)
 
 
-def _intersect_intervals(a: Interval, b: Interval) -> Optional[Interval]:
+def _intersect_intervals(a: Interval, b: Interval) -> Interval | None:
     if a.lo > b.lo:
         lo, lo_closed = a.lo, a.lo_closed
     elif b.lo > a.lo:
@@ -229,8 +229,8 @@ class TopologyReport:
     component_count: int
     closure: SectionSet
     interior: SectionSet
-    min: Optional[Fraction]
-    max: Optional[Fraction]
+    min: Fraction | None
+    max: Fraction | None
 
 
 @lru_cache(maxsize=65536)
@@ -251,7 +251,7 @@ def analyze(a: SectionSet) -> TopologyReport:
     )
 
 
-def representative(a: SectionSet) -> Optional[Fraction]:
+def representative(a: SectionSet) -> Fraction | None:
     """Deterministic element of a nonempty set: attained min, else the
     midpoint of the first component."""
     if not a.intervals:

@@ -7,12 +7,12 @@ the unit interval.  All section sets are read off that partition.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import add, ge, le, sub
-from typing import Callable, Iterable, Optional, Sequence
 
 from . import intervals as iv
 from .intervals import Interval, SectionSet
@@ -221,7 +221,7 @@ class RelationModel:
             self._segment_cache[key] = got
         return got
 
-    def _columns(self, points: Sequence[Point]) -> Optional[list[tuple[int, ...]]]:
+    def _columns(self, points: Sequence[Point]) -> list[tuple[int, ...]] | None:
         """Integer utility columns of `points`, when the relation is "weakly
         preferred iff no utility is lower" for mixture-affine utilities:
         columns[p][u] = D[p][u], the u-th utility of point number p over one
@@ -480,7 +480,7 @@ class MultiUtility(RelationModel):
 
     kind = "multi_utility"
 
-    def __init__(self, utilities: Sequence[Sequence], space: Optional[MixtureSpace] = None):
+    def __init__(self, utilities: Sequence[Sequence], space: MixtureSpace | None = None):
         utils = tuple(tuple(Fraction(v) for v in u) for u in utilities)
         if not utils or len({len(u) for u in utils}) != 1 or not utils[0]:
             raise ValueError("need one or more utility vectors of equal, nonzero length")
@@ -544,9 +544,9 @@ class CatalogPiecewise(RelationModel):
         self,
         entry_id: str,
         space: MixtureSpace,
-        compare_fn: Optional[Callable[[Point, Point], ComparisonOutcome]] = None,
-        cuts: Optional[Callable[[Point], Sequence[Iterable[Fraction]]]] = None,
-        ranking: Optional[Callable[[Point], Fraction]] = None,
+        compare_fn: Callable[[Point, Point], ComparisonOutcome] | None = None,
+        cuts: Callable[[Point], Sequence[Iterable[Fraction]]] | None = None,
+        ranking: Callable[[Point], Fraction] | None = None,
     ):
         super().__init__(space)
         if ranking is not None:
@@ -592,7 +592,7 @@ class CatalogPiecewise(RelationModel):
     def classify_segment(self, x: Point, y: Point, z: Point) -> LabeledPartition:
         return LabeledPartition(_merge_runs(*self._cut_labels(x, y, z)))
 
-    def _columns(self, points: Sequence[Point]) -> Optional[list[tuple[int]]]:
+    def _columns(self, points: Sequence[Point]) -> list[tuple[int]] | None:
         if self.ranking is None:
             return None
         # compare ranks by v: one utility, the column v

@@ -15,7 +15,6 @@ verifier then demands exact order agreement and mixture preservation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .axioms import AxiomEngine, AxiomId
 from .intervals import OPEN_UNIT, analyze, intersect
@@ -51,8 +50,8 @@ class UtilityRepresentation:
 class CalibrationStep:
     point: Point
     case: str  # "anchor", "i", "ii", "iii"
-    lam: Optional[Fraction]
-    warning: Optional[str] = None
+    lam: Fraction | None
+    warning: str | None = None
 
 
 @record
@@ -78,7 +77,7 @@ class CalibrationTrace:
 
 
 def _solved_weight(engine: AxiomEngine, a: Point, b: Point, target: Point,
-                   interior_only: bool) -> tuple[Fraction, Optional[str]]:
+                   interior_only: bool) -> tuple[Fraction, str | None]:
     """Least weight with mix(a, lam, b) ~ target, plus a plateau warning."""
     sec = engine.section(a, b, target, "eq")
     if interior_only:

@@ -14,14 +14,10 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from types import MethodType
-from typing import TYPE_CHECKING, Optional
 
 from .intervals import ONE, ZERO, Interval, SectionSet, rat
 from .records import record
 from .verdicts import AxiomVerdict, Status
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .relations import RelationModel
 
 
 @record(frozen=True)
@@ -29,7 +25,7 @@ class Point:
     """Carrier element; `part` tags the arm for split-space points."""
 
     coords: tuple[Fraction, ...]
-    part: Optional[str] = None
+    part: str | None = None
 
     def __post_init__(self):
         # points are dict keys in every cache; Fraction hashing is costly
@@ -78,7 +74,7 @@ def vector_key(p: Point) -> tuple[int, ...]:
     return (*[c.numerator * (den // c.denominator) for c in p.coords], den)
 
 
-def vector_point(key: Sequence[int], part: Optional[str] = None) -> Point:
+def vector_point(key: Sequence[int], part: str | None = None) -> Point:
     den = key[-1]
     return Point(tuple([Fraction(n, den) for n in key[:-1]]), part)
 
@@ -237,7 +233,7 @@ class SplitSpace(MixtureSpace):
 
 
 class QuotientError(ValueError):
-    def __init__(self, message: str, witness: Optional[dict] = None):
+    def __init__(self, message: str, witness: dict | None = None):
         super().__init__(message)
         self.witness = witness
 
@@ -418,7 +414,7 @@ def check_mixture_axioms(
     space: MixtureSpace,
     points: Sequence[Point],
     grid: Sequence[Fraction] = DEFAULT_GRID,
-    relation: Optional["RelationModel"] = None,
+    relation: "RelationModel" | None = None,
 ) -> dict[str, AxiomVerdict]:
     """S1-S4 with structural equality, or M1-M4 with a relation's indifference.
 
@@ -447,7 +443,7 @@ def check_mixture_axioms(
     prod = [[weight(lam * mu) for lam in grid] for mu in grid]
     comb = [[[weight(mu * lam + (1 - mu) * beta) for beta in grid] for lam in grid]
             for mu in grid]
-    witnesses: list[Optional[dict]] = [None] * 4
+    witnesses: list[dict | None] = [None] * 4
 
     for x in ids:
         for y in ids:

@@ -9,7 +9,6 @@ consistent=false can only come from a bug in a checker or oracle.
 
 from __future__ import annotations
 
-from typing import Optional
 
 from .axioms import AxiomEngine, AxiomId
 from .records import field, record
@@ -20,9 +19,9 @@ from .verdicts import AxiomVerdict, Status
 class Rule:
     hypotheses: tuple[tuple[str, bool], ...]
     conclusions: tuple[tuple[str, bool], ...] = ()
-    variants: Optional[dict[str, tuple[tuple[str, bool], ...]]] = None
+    variants: dict[str, tuple[tuple[str, bool], ...]] | None = None
     mode: str = "standard"  # standard | coincide | biconditional | representation
-    note: Optional[str] = None
+    note: str | None = None
 
 
 def _t(*names) -> tuple[tuple[str, bool], ...]:
@@ -132,7 +131,7 @@ THEOREM_IDS = tuple(THEOREMS)
 @record(frozen=True)
 class HarnessReport:
     theorem: str
-    variant: Optional[str]
+    variant: str | None
     hypotheses: dict[str, AxiomVerdict]
     conclusions: dict[str, AxiomVerdict]
     applicable: bool
@@ -204,7 +203,7 @@ def _representation_verdict(engine: AxiomEngine) -> AxiomVerdict:
 def run_harness(
     theorem: str,
     engine: AxiomEngine,
-    variant: Optional[str] = None,
+    variant: str | None = None,
 ) -> HarnessReport:
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id: {theorem!r}")

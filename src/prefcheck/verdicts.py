@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
 
 from .records import record
 
@@ -27,8 +26,8 @@ class AxiomVerdict:
 
     axiom: str
     status: Status
-    witness: Optional[dict] = None
-    note: Optional[str] = None
+    witness: dict | None = None
+    note: str | None = None
 
     @property
     def passed(self) -> bool:

@@ -77,11 +77,11 @@ def test_samples_cover_every_record_type():
     assert _record_types() == {cls for cls, _, _ in SAMPLES}
 
 
-def test_importing_the_package_loads_no_dataclasses_or_inspect():
+def test_importing_the_package_loads_no_dataclasses_inspect_or_typing():
     src = str(Path(prefcheck.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             "import prefcheck, prefcheck.cli, prefcheck.catalog; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     # -I -S: no site hooks or environment, so only the package's own imports count
     run = subprocess.run([sys.executable, "-I", "-S", "-c", code],
                          capture_output=True, text=True, check=True)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import repeat
-from operator import or_
 
 from . import intervals as iv
 from .intervals import OPEN_UNIT, SectionSet, representative
@@ -276,9 +275,12 @@ class AxiomEngine:
       `compare` on every pair of points; only pairs with a point outside
       `points` are compared one at a time, and cached;
     - flag rows: per unordered pair {i, j}, the ids of the flag words of
-      (i, j, k) for every k, from the relation's row kernel.  An id
-      indexes `_words`, the distinct words met so far.  A row is `bytes`
-      while at most 256 words are known, and a list after that;
+      (i, j, k) for every k, kept as the relation's row kernel returns
+      them.  An id indexes `_words`, the kernel's own list of the distinct
+      words it has met.  A row is `bytes` while at most 256 words are
+      known, and a list after that.  A scan marks a row, or a joined
+      block of rows, with one `translate` through a table per
+      (mask, expect);
     - mixtures: a `MixTable` that numbers `points` first, in order, so
       that point i of the engine is point i of the table and each new
       mixture is numbered after them.  With a closure depth it is the
@@ -307,7 +309,6 @@ class AxiomEngine:
         self._row_kernel = None
         self._flag_rows: dict[int, bytes | list[int]] = {}
         self._words: list[int] = []
-        self._word_ids: dict[int, int] = {}
         self._mark_tables: dict[tuple[int, int], bytes] = {}
         self._verdicts: dict[str, AxiomVerdict] = {}
         self._strict_pairs: list[tuple[int, int]] | None = None
@@ -398,37 +399,32 @@ class AxiomEngine:
         got = self._flag_rows.get(key)
         if got is None:
             if self._row_kernel is None:
-                self._row_kernel = self.rel.segment_flag_rows(self.points)
-            words, ids = self._row_kernel(i, j), self._word_ids
-            new = set(words).difference(ids)
-            if new:
-                for word in sorted(new):
-                    ids[word] = len(self._words)
-                    self._words.append(word)
+                self._row_kernel, self._words = self.rel.segment_flag_rows(self.points)
+            known = len(self._words)
+            got = self._flag_rows[key] = self._row_kernel(i, j)
+            if known < 256 and len(self._words) > known:  # new words among the first 256
                 self._mark_tables.clear()
-            got = list(map(ids.__getitem__, words))
-            if len(self._words) <= 256:
-                got = bytes(got)
-            self._flag_rows[key] = got
         return got
 
     def flag_word(self, i: int, j: int, k: int) -> int:
         """Flag word of the partition for points i, j, k."""
-        return self._words[self.flag_row(i, j)[k]]
+        row = self.flag_row(i, j)  # may build the kernel, and with it `_words`
+        return self._words[row[k]]
 
-    def _marks(self, i: int, j: int, mask: int, expect: int) -> bytes:
-        """_MARK at each k whose flag word for points (i, j, k), masked by
-        `mask`, is not `expect`, and _CLEAR elsewhere."""
-        row = self.flag_row(i, j)
-        if type(row) is not bytes:
-            words = self._words
-            return bytes(_MARK if words[w] & mask != expect else _CLEAR for w in row)
+    def _marks(self, rows: list, mask: int, expect: int) -> bytes:
+        """The flag rows `rows` joined, with _MARK at each id whose word,
+        masked by `mask`, is not `expect`, and _CLEAR elsewhere."""
+        words = self._words
         table = self._mark_tables.get((mask, expect))
         if table is None:
             table = self._mark_tables[mask, expect] = bytes(
-                _MARK if word & mask != expect else _CLEAR for word in self._words[:256]
+                _MARK if word & mask != expect else _CLEAR for word in words[:256]
             ).ljust(256, b"0")
-        return row.translate(table)
+        if len(words) <= 256:  # then every row is bytes
+            return b"".join(rows).translate(table)
+        return b"".join(row.translate(table) if type(row) is bytes else
+                        bytes(_MARK if words[w] & mask != expect else _CLEAR for w in row)
+                        for row in rows)
 
     def first_triple(self, mask: int, expect: int, among: list[int] | None = None):
         """Point numbers (i, j, k) of the first triple in scan order whose
@@ -443,7 +439,7 @@ class AxiomEngine:
             for j in range(i, n):
                 bad = row & rows[j]
                 if bad:
-                    marks = self._marks(i, j, mask, expect)
+                    marks = self._marks([self.flag_row(i, j)], mask, expect)
                     if _MARK in marks:
                         bad &= _bitset(marks)
                         if bad:
@@ -569,29 +565,29 @@ class AxiomEngine:
     _check_lower_sections_convex = _section_axiom(
         "lower_sections_convex", ("le", CONVEX))
 
-    def _least_misses(self, a: int, upper: bool, guard: list[int] | None = None) -> list[int]:
+    def _least_misses(self, a: int, upper: bool, guard: bytes | None = None) -> list[int]:
         """Per point number b, the least point number k with no interior
         weight that keeps the mixture of points[a] with points[k] strictly
         above points[b] (`upper`), or else strictly below it; n where there
-        is none.  With `guard`, one n-bit int per b, k runs only over the
-        bits of guard[b].
+        is none.  With `guard`, an n x n block of marks, k runs only over
+        the k with _MARK at guard[k*n + b].
 
-        The marks of rows {a, k}, k = 0..n-1, are joined into one n x n
-        block whose column b, `block[b::n]`, marks the misses of b.  A row
-        whose k is in no guard is left clear, and its flag row is not built."""
+        The marks of rows {a, k}, k = 0..n-1, are one n x n block whose
+        column b, `block[b::n]`, marks the misses of b; with `guard` it is
+        ANDed with it as one int, and the ASCII marks keep _MARK only where
+        both have it.  A row k with no mark in the guard is left out whole,
+        and its flag row is not built."""
         n = self._n
         meets = GT_MEETS if upper else LT_MEETS
-        rows = (1 << n) - 1 if guard is None else reduce(or_, guard, 0)
-        clear = bytes([_CLEAR]) * n
-        block = b"".join(self._marks(a, k, meets, meets) if rows >> k & 1 else clear
-                         for k in range(n))
         if guard is None:
-            return [n if (k := block[b::n].find(_MARK)) < 0 else k for b in range(n)]
-        misses = []
-        for b, among in enumerate(guard):
-            bits = among and _bitset(block[b::n]) & among
-            misses.append(_lowest(bits) if bits else n)
-        return misses
+            block = self._marks([self.flag_row(a, k) for k in range(n)], meets, meets)
+        else:
+            clear = bytes(n)
+            block = self._marks([self.flag_row(a, k) if _MARK in guard[k * n:k * n + n] else clear
+                                 for k in range(n)], meets, meets)
+            block = int.from_bytes(block, "little") & int.from_bytes(guard, "little")
+            block = block.to_bytes(n * n, "little")
+        return [n if (k := block[b::n].find(_MARK)) < 0 else k for b in range(n)]
 
     def _archimedean_miss(self, axiom, i: int, j: int, k: int, upper: bool, name="z"):
         """`axiom` fails on the strict pair (i, j) at the side miss k,
@@ -614,12 +610,14 @@ class AxiomEngine:
         na = self._oracle_or_na(AxiomId.ARCHIMEDEAN)
         if na:
             return na
-        # the least misses of each (point, side), guarded per target point
+        # the least misses of each (point, side), guarded per target point:
+        # _MARK at k*n + b where (points[b], points[k]) is incomparable
         n, misses = self._n, {}
+        guard = b"".join(self._outcome_table()[1]).translate(_outcome_marks(INCOMPARABLE))
         for i, j in guarded:
             for upper, a, b, name in ((True, i, j, "z"), (False, j, i, "w")):
                 if (a, upper) not in misses:
-                    misses[a, upper] = self._least_misses(a, upper, incomp)
+                    misses[a, upper] = self._least_misses(a, upper, guard)
                 k = misses[a, upper][b]
                 if k < n:
                     return self._archimedean_miss(AxiomId.ARCHIMEDEAN, i, j, k, upper, name)

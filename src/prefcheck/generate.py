@@ -103,11 +103,18 @@ def _first_fragile_triple(rel: MultiUtility, points: list[Point]):
     """Point numbers (i, j, k) of the first triple in scan order whose
     partition has the fragile bit (a strict section meets the closure of
     the interior of incomparability); None when there is none."""
-    flag_row = rel.segment_flag_rows(points)
-    n = len(points)
+    flag_row, words = rel.segment_flag_rows(points)
+    n, hits = len(points), []  # hits[w]: 1 when word w has the bit
     # rows (i, j) and (j, i) are equal, so the first hit has i <= j
-    return next(((i, j, k) for i in range(n) for j in range(i, n)
-                 for k, word in enumerate(flag_row(i, j)) if word & FRAGILE_HIT), None)
+    for i in range(n):
+        for j in range(i, n):
+            row = flag_row(i, j)
+            if len(hits) < len(words):  # the kernel met new words
+                hits += (1 if word & FRAGILE_HIT else 0 for word in words[len(hits):])
+            k = bytes(map(hits.__getitem__, row)).find(1)
+            if k >= 0:
+                return i, j, k
+    return None
 
 
 def _boundary_enrichment(rel: MultiUtility, points: list[Point]) -> list[Point]:

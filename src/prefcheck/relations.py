@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import lcm
 from operator import add, ge, le, sub
 
@@ -228,23 +228,23 @@ class RelationModel:
         positive common denominator.  None when it is not."""
         return None
 
-    def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
-        """A function of point numbers (i, j) giving the flag words of
-        (points[i], points[j], z) for every z in `points`, in order: read
-        off sign codes when the relation has utility columns, else one
-        uncached `classify_segment` per triple."""
+    def segment_flag_rows(self, points: Sequence[Point]) -> tuple[Callable, list[int]]:
+        """The row kernel of `points`: a function of point numbers (i, j)
+        giving, for every z in `points` in order, the id of the flag word of
+        (points[i], points[j], z), and the list of distinct words the ids
+        index, which grows as rows are computed (`_WordIds`).  The words are
+        read off lanes of sign codes when the relation has utility columns,
+        else from one uncached `classify_segment` per triple."""
         dots = self._columns(points)
         if dots is not None:
-            lines = [tuple(enumerate(d)) for d in dots]  # one per utility, at D[k][u]
-            return _line_rows(dots, lines, _line_codes(dots, lines), lambda i, j, k: _cut_word(
-                map(sub, dots[i], dots[j]), map(sub, dots[j], dots[k])))
-        classify = self.classify_segment
+            return _lane_rows(dots)
+        classify, ids = self.classify_segment, _WordIds()
 
-        def row(i: int, j: int) -> list:
+        def row(i: int, j: int) -> bytes | list[int]:
             x, y = points[i], points[j]
-            return [classify(x, y, z).flags for z in points]
+            return ids.row([ids.of(classify(x, y, z).flags) for z in points])
 
-        return row
+        return row, ids.words
 
     def outcome_rows(self, points: Sequence[Point]) -> list[bytes]:
         """Per point number i, the `bit` of the outcome of (points[i],
@@ -396,33 +396,174 @@ def _line_codes(feats: Sequence[tuple[int, ...]], lines: Sequence[tuple]) -> lis
     return list(zip(*by_target))
 
 
+def _packed(dots: Sequence[tuple[int, ...]], width: int) -> tuple[int, int, Callable, list[int]]:
+    """Integer utility columns dots[p][u] = D[p][u] in lanes, one per point
+    number: (lane, ones, signs, columns).  A lane is `lane` bytes, the
+    fewest that hold `width` bytes and have 2**(8*lane - 1) > 8*M*M for
+    M = max |D|; `ones` has 1 in every lane, and lane k of columns[u]
+    holds D[k][u].  `signs(lanes)` gives 1 + the sign of every lane value
+    d of `lanes`, for |d| <= 8*M*M: every lane of S = d + 2**(8*lane - 1)
+    lies in (0, 2**(8*lane)), so the lanes never carry, and the top bit of
+    lane k of S says d >= 0, that of S - ones says d >= 1."""
+    n, utilities = len(dots), len(dots[0]) if dots else 0
+    top = max((abs(v) for d in dots for v in d), default=0)
+    lane = max(width, ((8 * top * top).bit_length() + 8) // 8)
+    shift, ones = 8 * lane - 1, int.from_bytes((1).to_bytes(lane, "little") * n, "little")
+    bias = (1 << shift) * ones
+
+    def signs(lanes: int) -> int:
+        s = bias + lanes
+        return (s >> shift & ones) + ((s - ones) >> shift & ones)
+
+    columns = [int.from_bytes(b"".join(map(int.to_bytes, (d[u] + top for d in dots),
+                                           repeat(lane), repeat("little"))), "little")
+               - top * ones for u in range(utilities)]
+    return lane, ones, signs, columns
+
+
+# outcome bit of a lane holding (weakly better) + 2 * (weakly worse)
+_WEAK_OUTCOMES = bytes(ComparisonOutcome.from_weak(bool(v & 1), bool(v & 2)).bit
+                       for v in range(4)).ljust(256, b"\0")
+
+
 def _sign_outcome_rows(dots: Sequence[tuple[int, ...]]) -> list[bytes]:
     """`RelationModel.outcome_rows` of the relation "weakly preferred iff no
-    utility is lower", over integer utility columns dots[p][u] = D[p][u],
-    with one line per utility u at D[k][u] for target k: weakly better iff
-    no digit of the sign code is 0, weakly worse iff none is 2."""
-    codes = _line_codes(dots, [tuple(enumerate(d)) for d in dots])
-    # one entry per distinct code met, at most n^2 of them
-    bits: dict[int, int] = {}
-    for code in set().union(*codes):
-        digits, rest = set(), code
-        for _ in dots[0]:  # one digit per utility
-            rest, digit = divmod(rest, 3)
-            digits.add(digit)
-        bits[code] = ComparisonOutcome.from_weak(0 not in digits, 2 not in digits).bit
-    return [bytes(map(bits.__getitem__, code)) for code in codes]
+    utility is lower", over integer utility columns dots[p][u] = D[p][u]:
+    per point p, lane k of signs(D[p][u] - D[k][u]) is a sign digit per
+    utility u (`_packed`), and p is weakly better than k iff no digit is 0,
+    weakly worse iff none is 2."""
+    n = len(dots)
+    lane, ones, signs, columns = _packed(dots, 1)
+    rows = []
+    for d in dots:
+        better = worse = ones
+        for v, column in zip(d, columns):
+            digits = signs(v * ones - column)
+            better &= digits | digits >> 1
+            worse &= ~(digits >> 1)
+        rows.append((better + 2 * worse).to_bytes(n * lane, "little")[::lane].translate(_WEAK_OUTCOMES))
+    return rows
+
+
+class _WordIds:
+    """The distinct flag words a row kernel has met, numbered in the order
+    met: `words[w]` is the word of id w.  A row of ids is `bytes` while at
+    most 256 words are known, and a list after that; words are only
+    appended, so the ids of a `bytes` row stay valid."""
+
+    def __init__(self):
+        self.words: list[int] = []
+        self._ids: dict[int, int] = {}
+
+    def of(self, word: int) -> int:
+        got = self._ids.get(word)
+        if got is None:
+            got = self._ids[word] = len(self.words)
+            self.words.append(word)
+        return got
+
+    def row(self, ids: list[int]) -> bytes | list[int]:
+        return bytes(ids) if len(self.words) <= 256 else ids
+
+
+# a byte-wide composite not yet met; there are at most 243 composites, so
+# at most 243 words, and their ids stay below it
+_UNSET = 255
+
+
+def _lane_rows(dots: Sequence[tuple[int, ...]]) -> tuple[Callable, list[int]]:
+    """The flag-row kernel over integer utility columns dots[p][u] = D[p][u]
+    of "weakly preferred iff no utility is lower": target k has one line
+    per utility u, at D[k][u], and the word of (i, j, k) is `_cut_word` of
+    the gaps D[j] - D[k] at lam = 0 and D[i] - D[k] at lam = 1.
+
+    Target k of row (i, j) gets a composite, the base-3 numeral of the
+    sign codes of (i, k) and (j, k), as `_line_codes` gives them, and one
+    digit per utility pair (l, m), 1 + sign(d_k) for
+    d_k = g0_l*g1_m - g0_m*g1_l, which is
+    (fj_l*fi_m - fj_m*fi_l) + D[k][l]*(fj_m - fi_m) + D[k][m]*(fi_l - fj_l)
+    for f = D[i], D[j].  The codes and the digits of the crossing pairs fix
+    the word (the line kernel's key, see `_line_rows`), so the composite
+    does, and a table filled by `_cut_word` on a miss is exact.
+
+    The targets are lanes of L bits in one int: lane k of a packed column
+    holds D[k][u], so with a_p = fp_m*D[.][l] - fp_l*D[.][m] packed once per
+    point, d_k is lane k of c + a_j - a_i for the number
+    c = fj_l*fi_m - fj_m*fi_l.  A row is a few big-int operations per
+    utility pair, no Python step per target; so are the sign codes, once
+    per point.  Every lane value (a d_k, or D[p][u] - D[k][u]) is at most
+    8*M*M in size for M = max |D|, so `_packed` lanes read its sign
+    exactly.  A lane is also wide enough for a composite, of `width` bytes
+    at its low end.  Composites of one byte (at most two utilities, 3**5
+    values) map to ids through a `translate` table, and wider ones, as
+    byte strings, through a dict.
+    """
+    n, utilities = len(dots), len(dots[0]) if dots else 0
+    pairs = tuple(combinations(range(utilities), 2))
+    width = max(1, ((3 ** (2 * utilities + len(pairs)) - 1).bit_length() + 7) // 8)
+    lane, ones, signs, columns = _packed(dots, width)
+    # lane k of low[p] is the sign code of (p, k), 1 + sign(D[p][u] - D[k][u])
+    # per utility u, above the pair digits; high[p] has it above those of low
+    low = [3 ** len(pairs) * sum(3 ** u * signs(v * ones - column)
+                                 for u, (v, column) in enumerate(zip(d, columns)))
+           for d in dots]
+    high = [v * 3 ** utilities for v in low]
+    steps = [(l, m, 3 ** p, [d[m] * columns[l] - d[l] * columns[m] for d in dots])
+             for p, (l, m) in enumerate(pairs)]
+    ids = _WordIds()
+
+    def word_id(i: int, j: int, k: int) -> int:
+        return ids.of(_cut_word(map(sub, dots[i], dots[j]), map(sub, dots[j], dots[k])))
+
+    def composites(i: int, j: int) -> bytes:
+        fi, fj = dots[i], dots[j]
+        total = high[i] + low[j]
+        for l, m, weight, a in steps:
+            total += weight * signs((fj[l] * fi[m] - fj[m] * fi[l]) * ones + a[j] - a[i])
+        return total.to_bytes(n * lane, "little")
+
+    if width == 1:
+        table = bytearray([_UNSET]) * 256
+
+        def row(i: int, j: int) -> bytes:
+            keys = composites(i, j)[::lane]
+            out = keys.translate(table)
+            k = out.find(_UNSET)
+            while k >= 0:
+                table[keys[k]] = word_id(i, j, k)
+                out = keys.translate(table)
+                k = out.find(_UNSET, k + 1)
+            return out
+
+        return row, ids.words
+    known: dict[bytes, int] = {}
+
+    def row(i: int, j: int) -> bytes | list[int]:
+        lanes = composites(i, j)
+        keys = [lanes[s:s + width] for s in range(0, n * lane, lane)]
+        out = list(map(known.get, keys))
+        if None in out:
+            for k, key in enumerate(keys):
+                if out[k] is None:
+                    got = known.get(key)
+                    if got is None:
+                        got = known[key] = word_id(i, j, k)
+                    out[k] = got
+        return ids.row(out)
+
+    return row, ids.words
 
 
 def _line_rows(feats: Sequence[tuple[int, ...]], lines: Sequence[tuple],
                codes: Sequence[Sequence[int]],
-               word_of: Callable[[int, int, int], int]) -> Callable[[int, int], list]:
-    """The flag-row kernel over integer lines: target k has the lines
-    lines[k], pairs (f, c) whose gap at point number p is feats[p][f] - c,
-    affine in lam along x`lam`y since every feature is mixture-affine.
-    codes[i][k] is `_line_codes` of (i, k), plus k unless the word depends
-    on the gaps' signs and crossing order alone and no target has two lines
-    on one feature.  `word_of(i, j, k)` gives the word of a new key, and
-    `row(i, j)` the words of (i, j, k) for every k.
+               word_of: Callable[[int, int, int], int]) -> tuple[Callable, list[int]]:
+    """The catalog cell walk's row kernel over integer lines: target k has
+    the lines lines[k], pairs (f, c) whose gap at point number p is
+    feats[p][f] - c, affine in lam along x`lam`y since every feature is
+    mixture-affine.  codes[i][k] is `_line_codes` of (i, k), made distinct
+    per target.  `word_of(i, j, k)` gives the word of a new key; `row(i, j)`
+    gives the ids of the words of (i, j, k) for every k, into the word list
+    returned with it.
     """
     # Target k of row (i, j) is keyed by codes[i][k] and codes[j][k], the
     # signs of every gap at lam = 1 and lam = 0.  They fix each gap's sign
@@ -441,13 +582,14 @@ def _line_rows(feats: Sequence[tuple[int, ...]], lines: Sequence[tuple],
     memo: dict[int, int] = {}
     crossing_pairs: dict[int, tuple] = {}
     ordered: dict[tuple[int, int], int] = {}
+    ids = _WordIds()
 
-    def row(i: int, j: int) -> list:
+    def row(i: int, j: int) -> bytes | list[int]:
         fi, fj = feats[i], feats[j]
         keys = list(map(add, high[i], codes[j]))
         out = list(map(memo.get, keys))
-        for k, word in enumerate(out):
-            if word is not None:
+        for k, got in enumerate(out):
+            if got is not None:
                 continue
             key, lk = keys[k], lines[k]
             pairs = crossing_pairs.get(key)
@@ -456,9 +598,9 @@ def _line_rows(feats: Sequence[tuple[int, ...]], lines: Sequence[tuple],
                 pairs = crossing_pairs[key] = tuple(
                     (l, m) for l, m in combinations(crossing, 2) if lk[l][0] != lk[m][0])
             if not pairs:
-                word = memo.get(key)  # a first miss earlier in this row
-                if word is None:
-                    word = memo[key] = word_of(i, j, k)
+                got = memo.get(key)  # a first miss earlier in this row
+                if got is None:
+                    got = memo[key] = ids.of(word_of(i, j, k))
             else:
                 digits = 0
                 for l, m in pairs:
@@ -466,13 +608,13 @@ def _line_rows(feats: Sequence[tuple[int, ...]], lines: Sequence[tuple],
                     g, e = lk[m]
                     d = (fj[f] - c) * (fi[g] - e) - (fj[g] - e) * (fi[f] - c)
                     digits = 3 * digits + (d > 0) - (d < 0)
-                word = ordered.get((key, digits))
-                if word is None:
-                    word = ordered[key, digits] = word_of(i, j, k)
-            out[k] = word
-        return out
+                got = ordered.get((key, digits))
+                if got is None:
+                    got = ordered[key, digits] = ids.of(word_of(i, j, k))
+            out[k] = got
+        return ids.row(out)
 
-    return row
+    return row, ids.words
 
 
 class MultiUtility(RelationModel):
@@ -599,7 +741,7 @@ class CatalogPiecewise(RelationModel):
         _, column = _over_common_denominator([self.ranking(p) for p in points])
         return [(v,) for v in column]
 
-    def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
+    def segment_flag_rows(self, points: Sequence[Point]) -> tuple[Callable, list[int]]:
         # The features are the coordinates, and target k's lines are its
         # declared values: the line kernel over one denominator, with k in
         # the codes since the labels of the cells depend on the target.
@@ -671,7 +813,7 @@ class QuotientDerived(RelationModel):
     def outcome_rows(self, points: Sequence[Point]) -> list[bytes]:
         return self.base.outcome_rows([self.space.canonical(p) for p in points])
 
-    def segment_flag_rows(self, points: Sequence[Point]) -> Callable[[int, int], list]:
+    def segment_flag_rows(self, points: Sequence[Point]) -> tuple[Callable, list[int]]:
         # each triple's partition is the base's on the canonical members
         return self.base.segment_flag_rows([self.space.canonical(p) for p in points])
 

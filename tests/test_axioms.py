@@ -851,6 +851,38 @@ def test_archimedean_scans_read_list_rows():
         assert list in kinds, name
 
 
+@pytest.mark.parametrize("rel", [MultiUtility(((2, 1, 0), (0, 1, 3))), _ManyWords(9)],
+                         ids=["lanes", "default_loop"])
+def test_flag_rows_are_the_kernels_own(rel, monkeypatch):
+    """The engine keeps every flag row as the relation's kernel returned it,
+    and reads the ids through the kernel's own word list."""
+    kernel, handed = {}, {}
+
+    def segment_flag_rows(points):
+        row, kernel["words"] = type(rel).segment_flag_rows(rel, points)
+
+        def spy(i, j):
+            got = handed[i, j] = row(i, j)
+            return got
+
+        return spy, kernel["words"]
+
+    monkeypatch.setattr(rel, "segment_flag_rows", segment_flag_rows)
+    if isinstance(rel, _ManyWords):
+        universe = Universe(rel.points, closure_depth=0)
+    else:
+        universe = Universe((pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)))
+    engine = AxiomEngine(rel, universe)
+    for name in ("mixture_continuous", "fragile", "archimedean", "strong_archimedean",
+                 "convex", "star_convex"):
+        engine.verdict(name)
+    assert engine._words is kernel["words"]
+    assert len(handed) == len(engine._flag_rows)
+    for (i, j), row in handed.items():
+        assert engine.flag_row(i, j) is row
+        assert engine.flag_row(j, i) is row
+
+
 def _assert_convexity_scans_lazily(rel, universe):
     """`convex` and `concave` each compute, from a fresh engine, the flag
     rows of exactly the pairs i <= j met up to the witness whose points

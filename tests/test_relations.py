@@ -1,8 +1,9 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prefcheck import intervals as iv
@@ -387,6 +388,13 @@ def oracle_cases(draw):
     return rows, x, y, z
 
 
+def _word_rows(rel, points):
+    """The relation's row kernel over `points`, read through the kernel's
+    own word list: row(i, j) gives the flag words of (i, j, k) for every k."""
+    row, words = rel.segment_flag_rows(points)
+    return lambda i, j: [words[w] for w in row(i, j)]
+
+
 def _reference_partition(utilities, x, y, z):
     """Sections from `affine_ge`/`affine_le` and interval-set algebra alone."""
     ge = le = FULL
@@ -412,7 +420,7 @@ def test_integer_oracle_matches_reference(case):
     assert got.pieces == want.pieces
     assert got.flags == want.flags
     # the row kernel's word, for the triple and its mirror
-    row = rel.segment_flag_rows([x, y, z])
+    row = _word_rows(rel, [x, y, z])
     assert row(0, 1)[2] == got.flags
     assert row(1, 0)[2] == rel.classify_segment(y, x, z).flags
     dx, dy = ([sum(F(a) * c for a, c in zip(u, p.coords)) for u in rows] for p in (x, y))
@@ -424,7 +432,7 @@ def test_integer_oracle_matches_reference(case):
 def _assert_rows_match_classify_segment(rel, points):
     """Every row (i, j) and (j, i) of the kernel is the flag word of
     `classify_segment` per target."""
-    row = rel.segment_flag_rows(points)
+    row = _word_rows(rel, points)
     for i, j in product(range(len(points)), repeat=2):
         want = [rel.classify_segment(points[i], points[j], p).flags for p in points]
         assert row(i, j) == want, (i, j)
@@ -493,6 +501,48 @@ def test_flag_row_kernel_on_pareto2_closure():
     _assert_rows_match_classify_segment(MultiUtility(entry.relation.utilities), points)
 
 
+_BIG = 10**40
+
+
+@st.composite
+def lane_cases(draw):
+    """One to eight utilities over a simplex of two to four coordinates,
+    with entries up to 4 or from 10**39 to 10**40 in size, half the time
+    all drawn from a pool of one to three values, so that entries and
+    utilities repeat (ties); one to eight points."""
+    n = draw(st.integers(2, 4))
+    big = st.builds(mul, st.sampled_from([1, -1]), st.integers(_BIG // 10, _BIG))
+    entry = st.one_of(st.integers(-4, 4), big)
+    if draw(st.booleans()):
+        entry = st.sampled_from(draw(st.lists(entry, min_size=1, max_size=3)))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=8))
+    return rows, draw(st.lists(simplex_points(n), min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lane_cases())
+# all utilities zero (M = 0), no point, one point, two utilities of size
+# 10**40 over eight points, where lanes one byte short carry, and eight
+# utilities of size 10**40, whose composites (16 sign digits and 28 pair
+# digits) pass 64 bits
+@example(([[0, 0, 0], [0, 0, 0]], [pt(1, 0, 0), pt(0, 1, 0), pt(F(1, 2), F(1, 2), 0)]))
+@example(([[3, -1, 0], [-2, 4, 1]], []))
+@example(([[3, -1, 0], [-2, 4, 1]], [pt(F(1, 3), F(1, 3), F(1, 3))]))
+@example(([[_BIG, -_BIG, 2], [-_BIG, 2 * _BIG, 5]],
+          [pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(F(1, 2), F(1, 2), 0),
+           pt(F(1, 2), 0, F(1, 2)), pt(0, F(1, 2), F(1, 2)), pt(F(1, 3), F(1, 3), F(1, 3)),
+           pt(F(1, 2), F(1, 4), F(1, 4))]))
+@example(([[(-1) ** u * _BIG + u, u - _BIG, _BIG // (u + 1)] for u in range(8)],
+          [pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1), pt(F(1, 2), F(1, 4), F(1, 4)),
+           pt(F(1, 6), F(1, 2), F(1, 3))]))
+def test_lane_kernel_matches_segment_flags(case):
+    """The lane kernel packs one lane per target into one int, with lanes
+    as wide as the largest entry needs: read through its word list, every
+    row (i, j) and (j, i) is the word of `classify_segment` per target."""
+    rows, points = case
+    _assert_rows_match_classify_segment(MultiUtility(rows), points)
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 def test_split_flag_row_kernel_matches_oracle(depth):
     """`split_hm` ranks by a mixture-affine functional, so its rows come
@@ -503,7 +553,7 @@ def test_split_flag_row_kernel_matches_oracle(depth):
     points = augment_points(entry.space, universe.points, universe.grid, depth)
     assert {p.part for p in points} == {"A", "B"}
     rel = entry.relation
-    row = rel.segment_flag_rows(points)
+    row = _word_rows(rel, points)
     for i, j in combinations_with_replacement(range(len(points)), 2):
         want = [rel.classify_segment(points[i], points[j], p).flags for p in points]
         assert row(i, j) == want, (i, j)
@@ -562,7 +612,7 @@ def test_quotient_flag_rows_read_canonical_members():
     qspace, qrel = quotient(base.space, base, points)
     assert qspace.representatives == (pt(0),)
     _assert_rows_match_classify_segment(qrel, points)
-    assert qrel.segment_flag_rows(points)(1, 2) != base.segment_flag_rows(points)(1, 2)
+    assert _word_rows(qrel, points)(1, 2) != _word_rows(base, points)(1, 2)
 
 
 def _compare_rows(rel, points):
@@ -588,8 +638,12 @@ def outcome_row_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(outcome_row_cases())
+# entries of size 10**40, whose lanes are 34 bytes wide, and no point
+@example(([[_BIG, -_BIG, 1], [-_BIG, 2 * _BIG, 0], [_BIG, _BIG, _BIG]], _TRIANGLE_CLOSURE[:12]))
+@example(([[3, -1, 0]], []))
 def test_multi_utility_outcome_rows_match_compare(case):
-    """Outcome rows read off sign codes are the outcomes of `compare`."""
+    """Outcome rows read off lanes of sign digits are the outcomes of
+    `compare`."""
     rows, points = case
     rel = MultiUtility(rows)
     assert rel.outcome_rows(points) == _compare_rows(rel, points)
@@ -668,7 +722,7 @@ def test_default_flag_row_kernel_reads_partitions():
     rows off `classify_segment`, one triple at a time."""
     rel = _AllIndifferent()
     points = AxiomEngine(load_entry("appx1").relation, load_entry("appx1").universe).points
-    row = rel.segment_flag_rows(points)
+    row = _word_rows(rel, points)
     for i, j in product(range(len(points)), repeat=2):
         assert row(i, j) == [rel.segment(points[i], points[j], p).flags for p in points]
 
@@ -678,7 +732,7 @@ def test_default_flag_row_kernel_caches_no_partition():
     built relation it leaves the segment cache empty."""
     rel = _AllIndifferent()
     points = AxiomEngine(load_entry("appx1").relation, load_entry("appx1").universe).points
-    row = rel.segment_flag_rows(points)
+    row = _word_rows(rel, points)
     for i, j in product(range(len(points)), repeat=2):
         row(i, j)
     assert not rel._segment_cache
@@ -719,7 +773,7 @@ def test_column_rows_call_no_compare_or_classify_segment(make, monkeypatch):
         refused.append("compare")
 
     def tables():
-        row = rel.segment_flag_rows(points)
+        row = _word_rows(rel, points)
         flags = [row(i, j) for i, j in product(range(n), repeat=2)]
         return rel.outcome_rows(points), flags
 
@@ -744,7 +798,7 @@ def test_interval_flag_row_kernel_matches_oracle(entry_id):
     triple."""
     rel = load_entry(entry_id).relation
     points = AxiomEngine(rel, load_entry(entry_id).universe).points
-    row = rel.segment_flag_rows(points)
+    row = _word_rows(rel, points)
     for i, j in product(range(len(points)), repeat=2):
         want = [rel.classify_segment(points[i], points[j], z).flags for z in points]
         assert row(i, j) == want, (i, j)
@@ -807,7 +861,7 @@ def test_interval_flag_row_kernel_matches_reference(case):
     """The derived oracle and the line kernel both match a reference built
     from affine regions and interval-set algebra alone."""
     rel, oracle, points = case
-    row = rel.segment_flag_rows(points)
+    row = _word_rows(rel, points)
     for i, j in product(range(len(points)), repeat=2):
         want = [oracle(points[i], points[j], z) for z in points]
         assert [rel.classify_segment(points[i], points[j], z) for z in points] == want

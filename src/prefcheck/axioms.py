@@ -12,7 +12,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 
 from . import intervals as iv
 from .intervals import OPEN_UNIT, SectionSet, representative
@@ -121,8 +120,6 @@ _ANY = sum(outcome.bit for outcome in ComparisonOutcome)
 NOT_WEAK = _ANY & ~WEAK
 NOT_STRICT = _ANY & ~STRICT
 _OUTCOME_OF_BIT = {outcome.bit: outcome for outcome in ComparisonOutcome}
-# whether two mixtures are equivalent, as a byte: 0 is not yet known
-_SAME, _OTHER = 1, 2
 
 # marks are ASCII digits, so a row of them reversed is the binary numeral of
 # the int whose bit k is mark k
@@ -733,10 +730,10 @@ class AxiomEngine:
         outcomes = self._outcome_table()[0]
         compare, equivalent = self.rel.compare, ComparisonOutcome.EQUIVALENT
         # row[i]: the numbers of x_i mixed with each z_k at each weight, in
-        # scan order (k, then lam); a pair of them is equivalent when
-        # states[(a, b)] is _SAME, and not when it is _OTHER
+        # scan order (k, then lam); same[(a, b)]: whether mixtures a and b
+        # are equivalent
         row: list[list[int] | None] = [None] * n
-        states: dict[tuple[int, int], int] = {}
+        same: dict[tuple[int, int], bool] = {}
 
         def mixtures(i: int) -> list[int]:
             got = row[i]
@@ -747,27 +744,21 @@ class AxiomEngine:
         for i in range(n):
             mi = mixtures(i)
             for j in range(n):
-                mj = mixtures(j)
-                got = bytes(map(states.get, zip(mi, mj), repeat(0)))
-                pos = got.find(0)
-                while pos >= 0:
-                    a, b = pair = mi[pos], mj[pos]
-                    if pair not in states:
-                        same = (outcomes[a][b] == EQUIV if a < n and b < n
-                                else compare(mixed[a], mixed[b]) is equivalent)
-                        states[pair] = _SAME if same else _OTHER
-                    pos = got.find(0, pos + 1)
-                    if pos < 0:
-                        got = bytes(map(states.__getitem__, zip(mi, mj)))
-                bad = got.find(_OTHER if outcomes[i][j] == EQUIV else _SAME)
-                if bad >= 0:
-                    k, w = divmod(bad, len(weights))
-                    p = self.points
-                    return _fails(
-                        AxiomId.INDEPENDENT,
-                        {"x": p[i], "y": p[j], "z": p[k], "lam": weights[w][0]},
-                        note="indifference and mixed indifference disagree",
-                    )
+                want = outcomes[i][j] == EQUIV
+                for bad, pair in enumerate(zip(mi, mixtures(j))):
+                    got = same.get(pair)
+                    if got is None:
+                        a, b = pair
+                        got = same[pair] = (outcomes[a][b] == EQUIV if a < n and b < n
+                                            else compare(mixed[a], mixed[b]) is equivalent)
+                    if got is not want:
+                        k, w = divmod(bad, len(weights))
+                        p = self.points
+                        return _fails(
+                            AxiomId.INDEPENDENT,
+                            {"x": p[i], "y": p[j], "z": p[k], "lam": weights[w][0]},
+                            note="indifference and mixed indifference disagree",
+                        )
         return AxiomVerdict(
             AxiomId.INDEPENDENT, Status.SAMPLED,
             note="biconditional verified on grid weights",

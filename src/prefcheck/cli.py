@@ -49,9 +49,19 @@ def _parse_grid(values) -> tuple[Fraction, ...]:
         grid = tuple(rat_from_json(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise ModelError(f"bad grid weight: {exc}")
-    if not grid or any(not 0 <= g <= 1 for g in grid):
+    if not grid:
+        raise ModelError("grid needs at least one weight")
+    if any(not 0 <= g <= 1 for g in grid):
         raise ModelError("grid weights must lie in [0,1]")
     return grid
+
+
+def _reason(exc: Exception) -> str:
+    """What a descriptor error says is wrong; a KeyError's own text is only
+    the key's repr."""
+    if isinstance(exc, KeyError):
+        return f"missing key {exc.args[0]!r}"
+    return str(exc)
 
 
 def load_model(path: str, grid_override=None, depth_override=None):
@@ -92,7 +102,7 @@ def load_model(path: str, grid_override=None, depth_override=None):
                 raise TypeError(f"utilities must be a JSON array of JSON arrays, got {rows!r}")
             relation = MultiUtility([[rat_from_json(v) for v in row] for row in rows])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ModelError(f"bad multi_utility descriptor: {exc}")
+            raise ModelError(f"bad multi_utility descriptor: {_reason(exc)}")
         space = relation.space
         universe = None
     else:
@@ -108,7 +118,7 @@ def load_model(path: str, grid_override=None, depth_override=None):
         try:
             declared = space_from_json(declared)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ModelError(f"bad space descriptor: {exc}")
+            raise ModelError(f"bad space descriptor: {_reason(exc)}")
         if declared.descriptor() != space.descriptor():
             raise ModelError(
                 f"model space {declared.descriptor()} does not match the "
@@ -117,6 +127,8 @@ def load_model(path: str, grid_override=None, depth_override=None):
 
     if "universe" in raw:
         u = raw["universe"]
+        if not isinstance(u, dict):
+            raise ModelError("universe must be a JSON object")
         try:
             points, grid = u["points"], u.get("grid", [str(g) for g in DEFAULT_GRID])
             for key, value in (("points", points), ("grid", grid)):
@@ -127,7 +139,7 @@ def load_model(path: str, grid_override=None, depth_override=None):
                 tuple(point_from_json(p) for p in points), depth, _parse_grid(grid)
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ModelError(f"bad universe: {exc}")
+            raise ModelError(f"bad universe: {_reason(exc)}")
         if not isinstance(depth, int) or isinstance(depth, bool):
             raise ModelError(f"closure_depth must be an integer, got {depth!r}")
     elif universe is None:

@@ -99,26 +99,11 @@ def _incomparable_partner(rel: MultiUtility, points: list[Point],
     return None
 
 
-def _first_fragile_triple(rel: MultiUtility, points: list[Point]):
-    """Point numbers (i, j, k) of the first triple in scan order whose
-    partition has the fragile bit (a strict section meets the closure of
-    the interior of incomparability); None when there is none."""
-    flag_row, words = rel.segment_flag_rows(points)
-    n, hits = len(points), []  # hits[w]: 1 when word w has the bit
-    # rows (i, j) and (j, i) are equal, so the first hit has i <= j
-    for i in range(n):
-        for j in range(i, n):
-            row = flag_row(i, j)
-            if len(hits) < len(words):  # the kernel met new words
-                hits += (1 if word & FRAGILE_HIT else 0 for word in words[len(hits):])
-            k = bytes(map(hits.__getitem__, row)).find(1)
-            if k >= 0:
-                return i, j, k
-    return None
-
-
 def _boundary_enrichment(rel: MultiUtility, points: list[Point]) -> list[Point]:
-    found = _first_fragile_triple(rel, points)
+    # the first triple in scan order whose strict section meets the closure
+    # of the interior of incomparability: the scan of `_check_fragile`
+    engine = AxiomEngine(rel, Universe(tuple(points), 0, ENRICH_GRID))
+    found = engine.first_triple(FRAGILE_HIT, 0)
     if found is None:
         return []
 

@@ -149,6 +149,33 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
             assert "error: bad space descriptor: " in err, name
 
 
+def test_input_errors_say_what_is_wrong(tmp_path, capsys):
+    """An empty grid, a missing key and a universe that is not an object
+    are named as such, not as a weight range, a bare key repr or a Python
+    indexing error."""
+    relation = {"kind": "multi_utility", "utilities": [["1", "0", "0"]]}
+    split = {"kind": "catalog", "id": "split_hm"}
+    for name, raw, message in (
+        ("empty_grid", {"relation": relation, "universe": {
+            "points": [["1", "0", "0"]], "grid": []}},
+         "bad universe: grid needs at least one weight"),
+        ("no_points", {"relation": relation, "universe": {"grid": ["1/2"]}},
+         "bad universe: missing key 'points'"),
+        ("no_coords", {"relation": split, "universe": {"points": [{"part": "B"}]}},
+         "bad universe: missing key 'coords'"),
+        ("no_utilities", {"relation": {"kind": "multi_utility"}},
+         "bad multi_utility descriptor: missing key 'utilities'"),
+        ("no_dim", {"relation": relation, "space": {"kind": "simplex"}},
+         "bad space descriptor: missing key 'dim'"),
+        ("list_universe", {"relation": relation, "universe": [["1", "0", "0"]]},
+         "universe must be a JSON object"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "axioms", str(path))
+        assert code == 2 and f"error: {message}\n" in err, (name, err)
+
+
 def test_quotient_that_does_not_exist_exits_2(tmp_path, capsys):
     """Where indifference does not give a quotient (here class mixtures
     depend on representatives), each command that quotients exits 2."""

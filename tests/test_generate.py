@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefcheck import generate
-from prefcheck.axioms import AxiomEngine
+from prefcheck.axioms import AxiomEngine, Universe
 from prefcheck.generate import (
     DEFAULT_SEED,
     ENRICH_GRID,
-    _first_fragile_triple,
     _incomparable_partner,
     env_seed,
     fuzz_corpus,
@@ -23,14 +22,16 @@ from prefcheck.spaces import Point, Simplex, augment_points, point_to_json, pt
 
 
 def test_first_fragile_triple_matches_brute_force():
-    """Enrichment's row-kernel search finds the first fragile triple of a
-    brute-force scan over `rel.segment(...).flags`, in (i, j, k) order."""
+    """The engine scan that enrichment reads its fragile triple from finds
+    the first one of a brute-force scan over `rel.segment(...).flags`, in
+    (i, j, k) order."""
     hits = 0
     for _, rel, universe in fuzz_corpus(12, seed=1):
         points = augment_points(rel.space, universe.points[:4], ENRICH_GRID, depth=1)
         want = next((ijk for ijk in product(range(len(points)), repeat=3)
                      if rel.segment(*(points[t] for t in ijk)).flags & FRAGILE_HIT), None)
-        assert _first_fragile_triple(rel, points) == want
+        engine = AxiomEngine(rel, Universe(tuple(points), 0, ENRICH_GRID))
+        assert engine.first_triple(FRAGILE_HIT, 0) == want
         hits += want is not None
     assert hits >= 3
 

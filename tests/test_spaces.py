@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from prefcheck.axioms import AxiomEngine, Universe
 from prefcheck.catalog import ENTRY_IDS, load_entry
 from prefcheck.quadratic import QuadRat, RootTwoUnitInterval, quad_pt
-from prefcheck.relations import ComparisonOutcome, PointwiseOnly
+from prefcheck.relations import ComparisonOutcome, MultiUtility, PointwiseOnly
 from prefcheck.spaces import (
     CarrierError,
     DEFAULT_GRID,
@@ -320,6 +320,35 @@ def test_independence_matches_its_definition(case, data):
     witness = first_witness(
         ("x", "y", "z", "lam"),
         product(points, points, points, [g for g in grid if 0 < g <= 1]),
+        lambda x, y, z, lam: equiv(x, y) != equiv(mix(x, lam, z), mix(y, lam, z)))
+    assert_verdict(engine.verdict("independent"), witness, Status.SAMPLED)
+
+
+@pytest.mark.parametrize("entry_id, depth", [
+    *((eid, None) for eid in ENTRY_IDS
+      if not isinstance(load_entry(eid).relation, MultiUtility)),
+    *((eid, 2) for eid in ("appx1", "appx2", "appx3", "fragile_unit", "flimsy_0_3")),
+])
+def test_catalog_independence_matches_its_definition(entry_id, depth):
+    """The first independence witness, where mixtures leave the universe:
+    a brute force in (x, y, z, lam) order over `space.mix` and
+    `rel.compare`, with no table or memo.  Multi-utility entries are left
+    out, since their verdict holds exactly without a scan."""
+    entry = load_entry(entry_id)
+    universe = entry.universe
+    if depth is not None:
+        universe = Universe(universe.points, depth, universe.grid)
+    engine = AxiomEngine(entry.relation, universe)
+    space, compare = entry.space, entry.relation.compare
+
+    def equiv(x, y):
+        return compare(x, y) is ComparisonOutcome.EQUIVALENT
+
+    mix = space.mix
+    witness = first_witness(
+        ("x", "y", "z", "lam"),
+        product(engine.points, engine.points, engine.points,
+                [g for g in universe.grid if 0 < g <= 1]),
         lambda x, y, z, lam: equiv(x, y) != equiv(mix(x, lam, z), mix(y, lam, z)))
     assert_verdict(engine.verdict("independent"), witness, Status.SAMPLED)
 

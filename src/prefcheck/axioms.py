@@ -109,6 +109,11 @@ def _na(axiom, note):
     return AxiomVerdict(axiom, Status.NOT_APPLICABLE, note=note)
 
 
+def _no_weight(axiom):
+    """An existential `axiom` fails: no triple has a weight of its kind."""
+    return _fails(axiom, note=f"no {axiom.value} weight on the universe")
+
+
 GT_MEETS, LT_MEETS = flag_bit("gt", MEETS_OPEN_UNIT), flag_bit("lt", MEETS_OPEN_UNIT)
 
 # sets of comparison outcomes, as masks of their `bit`s
@@ -170,9 +175,9 @@ def _section_axiom(axiom, *which_props):
     property; the witness carries that section, and `which` when there are two."""
 
     def check(self):
-        na = self._oracle_or_na(axiom)
-        if na:
-            return na
+        decided = self._by_theorem(axiom) or self._oracle_or_na(axiom)
+        if decided:
+            return decided
         bad = self.first_section_failure(which_props)
         if bad is None:
             return _holds(axiom)
@@ -193,9 +198,9 @@ def _full_section_axiom(axiom, which, above):
     full = flag_bit(which, FULL_SET)
 
     def check(self):
-        na = self._oracle_or_na(axiom)
-        if na:
-            return na
+        decided = self._by_theorem(axiom) or self._oracle_or_na(axiom)
+        if decided:
+            return decided
         bad = self.first_triple(full, full, self.outcome_rows(WEAK, transposed=not above))
         if bad is None:
             return _holds(axiom)
@@ -214,23 +219,25 @@ def _covering_section_axiom(axiom, which, above):
     covers = flag_bit(which, COVERS_OPEN_UNIT)
 
     def check(self):
-        na = self._oracle_or_na(axiom)
-        if na:
-            return na
+        decided = self._by_theorem(axiom) or self._oracle_or_na(axiom)
+        if decided:
+            return decided
         weak, p = self.outcome_rows(WEAK, transposed=not above), self.points
         for i, row in enumerate(weak):
             for j in _members(row & ~(1 << i)):
                 if not self.flag_word(i, j, j) & covers:
-                    x, y = p[i], p[j]
-                    sec = self.section(x, y, y, which)
-                    return _fails(
-                        axiom,
-                        {"x": x, "y": y,
-                         "lam": representative(iv.difference(OPEN_UNIT, sec))},
-                    )
+                    return _uncovered(self, axiom, which, p[i], p[j])
         return _holds(axiom)
 
     return check
+
+
+def _uncovered(engine, axiom, which, x, y):
+    """`axiom` fails on x != y, whose strict section `which` of (x, y, y)
+    misses the witness `lam`, an interior weight."""
+    sec = engine.section(x, y, y, which)
+    return _fails(
+        axiom, {"x": x, "y": y, "lam": representative(iv.difference(OPEN_UNIT, sec))})
 
 
 def _existential_axiom(axiom, hit, note, weights):
@@ -239,12 +246,12 @@ def _existential_axiom(axiom, hit, note, weights):
     for that triple, the set that `note` names."""
 
     def check(self):
-        na = self._oracle_or_na(axiom)
-        if na:
-            return na
+        decided = self._by_theorem(axiom) or self._oracle_or_na(axiom)
+        if decided:
+            return decided
         found = self.first_triple(hit, 0)
         if found is None:
-            return _fails(axiom, note=f"no {axiom.value} weight on the universe")
+            return _no_weight(axiom)
         x, y, z = (self.points[t] for t in found)
         return AxiomVerdict(
             axiom, Status.HOLDS,
@@ -282,6 +289,9 @@ class AxiomEngine:
       that point i of the engine is point i of the table and each new
       mixture is numbered after them.  With a closure depth it is the
       table that closed the universe.
+
+    For a `MultiUtility`, `_by_theorem` decides most section verdicts
+    before any flag row is built.
     """
 
     def __init__(self, rel: RelationModel, universe: Universe):
@@ -468,6 +478,58 @@ class AxiomEngine:
     def all_verdicts(self) -> dict[str, AxiomVerdict]:
         return {a.value: self.verdict(a) for a in ALL_AXIOMS}
 
+    def _by_theorem(self, axiom) -> AxiomVerdict | None:
+        """The verdict that affine multi-utility dominance forces on `axiom`;
+        None for every other relation, and where the scan must decide.
+        `linear` asks only once reflexivity and transitive indifference
+        hold, and `strong_archimedean` once there is a strict pair.
+
+        A `MultiUtility`'s utilities are mixture-preserving, so along x`lam`y
+        each gap g_l(lam) = u_l(x lam y) - u_l(z) is affine in lam:
+
+        - ge = {every g_l >= 0} and le = {every g_l <= 0} are closed
+          intervals, and so is eq = ge & le: `mixture_continuous`, upper
+          and lower section convexity and `linear` hold.
+        - incomparable is the complement in [0,1] of the closed set
+          ge | le, so it is relatively open (`open_incomparable_sections`
+          holds), and none of its weights is a limit of comparable ones:
+          `flimsy` fails.
+        - With x and y both weakly above z, ge is an interval that holds
+          0 and 1, so it is [0,1]: `convex` holds, and `concave` likewise.
+        - Against y itself, g_l(lam) = lam (u_l(x) - u_l(y)).  For x weakly
+          above y, every interior weight is strictly above y unless x ~ y,
+          where none is: `star_convex` and `star_concave` fail at exactly
+          the first pair of distinct indifferent points, and hold when
+          there is none.
+        - u_l(x lam z) - u_l(y lam z) = lam (u_l(x) - u_l(y)), so for
+          lam > 0 the mixtures are indifferent iff x and y are:
+          `independent` holds exactly.
+        - With one utility u the relation is complete, and gt = {g > 0} and
+          lt are open: `open_strict_sections` holds.  For x > y and any z,
+          u(x lam z) tends to u(x) > u(y) as lam -> 1, and u(y lam z) to
+          u(y) < u(x): `strong_archimedean` holds.  Nothing is
+          incomparable, so there is no `fragile` weight.
+        """
+        rel = self.rel
+        if not isinstance(rel, MultiUtility):
+            return None
+        one = len(rel.utilities) == 1
+        if axiom in (AxiomId.MIXTURE_CONTINUOUS, "upper_sections_convex",
+                     "lower_sections_convex", AxiomId.LINEAR,
+                     AxiomId.OPEN_INCOMPARABLE_SECTIONS, AxiomId.CONVEX, AxiomId.CONCAVE) or (
+                one and axiom in (AxiomId.OPEN_STRICT_SECTIONS, AxiomId.STRONG_ARCHIMEDEAN)):
+            return _holds(axiom)
+        if axiom is AxiomId.FLIMSY or (one and axiom is AxiomId.FRAGILE):
+            return _no_weight(axiom)
+        if axiom in (AxiomId.STAR_CONVEX, AxiomId.STAR_CONCAVE):
+            pair = self.first_pair(EQUIV, distinct=True)
+            if pair is None:
+                return _holds(axiom)
+            return _uncovered(self, axiom, "gt" if axiom is AxiomId.STAR_CONVEX else "lt", *pair)
+        if axiom is AxiomId.INDEPENDENT:
+            return _holds(axiom, note="exact: utility gaps scale linearly in the mixing weight")
+        return None
+
     # -- order axioms ---------------------------------------------------------
 
     def first_broken_chain(self, first, second, then):
@@ -624,6 +686,9 @@ class AxiomEngine:
         pairs = self.strict_pairs()
         if not pairs:
             return _holds(AxiomId.STRONG_ARCHIMEDEAN, note="vacuous: no strict pair")
+        decided = self._by_theorem(AxiomId.STRONG_ARCHIMEDEAN)
+        if decided:
+            return decided
         if not self.rel.has_segment_oracle:
             return self._strong_archimedean_pointwise(pairs)
         n, uppers, lowers = self._n, {}, {}
@@ -704,6 +769,9 @@ class AxiomEngine:
                 "linearity is characterized by convex indifference sections only "
                 "for reflexive relations with transitive indifference",
             )
+        decided = self._by_theorem(AxiomId.LINEAR)
+        if decided:
+            return decided
         bad = self.first_section_failure((("eq", CONVEX),))
         if bad:
             x, y, z, _ = bad
@@ -719,11 +787,9 @@ class AxiomEngine:
     # -- independence, fragility, flimsiness ------------------------------------
 
     def _check_independent(self):
-        if isinstance(self.rel, MultiUtility):
-            return _holds(
-                AxiomId.INDEPENDENT,
-                note="exact: utility gaps scale linearly in the mixing weight",
-            )
+        decided = self._by_theorem(AxiomId.INDEPENDENT)
+        if decided:
+            return decided
         table = self.mix_table()
         n, mixed = self._n, table.points
         weights = [(lam, table.weight(lam)) for lam in self.grid if 0 < lam <= 1]

@@ -81,8 +81,8 @@ def load_model(path: str, grid_override=None, depth_override=None):
     quotient_wrapped = False
     if rel_desc["kind"] in ("quotient", "quotient_of"):
         inner = rel_desc.get("base") or rel_desc.get("quotient_of")
-        if not isinstance(inner, dict):
-            raise ModelError("quotient relation needs a 'base' descriptor")
+        if not isinstance(inner, dict) or "kind" not in inner:
+            raise ModelError("quotient relation needs a 'base' descriptor with a 'kind'")
         rel_desc = inner
         quotient_wrapped = True
 

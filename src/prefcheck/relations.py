@@ -722,7 +722,7 @@ class CatalogPiecewise(RelationModel):
             lo, hi = (a, b) if a < b else (b, a)
             for c in at:
                 if lo < c < hi:
-                    roots.add((c - b) / (a - b))
+                    roots.add(Fraction(c - b, a - b))
         mix, compare = self.space.mix, self._compare
         weights = [iv.ZERO, *sorted(roots), iv.ONE]
         labels = [OUTCOME_TO_LABEL[compare(y, z)]]

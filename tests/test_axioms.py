@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from prefcheck import intervals as iv
 from prefcheck.axioms import (
+    EQUIV,
+    WEAK,
     AxiomEngine,
     AxiomId,
     Universe,
 )
 from prefcheck.catalog import ENTRY_IDS, load_entry
+from prefcheck.generate import fuzz_corpus
 from prefcheck.intervals import (
     FULL,
     OPEN_UNIT,
@@ -904,13 +907,62 @@ def _assert_convexity_scans_lazily(rel, universe):
 
 
 def test_convexity_scans_skip_pairs_with_no_candidate():
-    entry = load_entry("pareto2")
-    _assert_convexity_scans_lazily(
-        entry.relation, Universe(entry.universe.points, 1, entry.universe.grid))
+    """On relations that no theorem decides: the line kernel's
+    `star_cvx_not_cvx`, the ranked `split_hm` and the default loop."""
+    for eid in ("star_cvx_not_cvx", "split_hm"):
+        entry = load_entry(eid)
+        _assert_convexity_scans_lazily(entry.relation, entry.universe)
+    rel = _ManyWords(9)
+    _assert_convexity_scans_lazily(rel, Universe(rel.points, closure_depth=0))
 
 
 @settings(max_examples=50, deadline=None)
 @given(multi_utility_universes())
 def test_multi_utility_convexity_scans_skip_pairs_with_no_candidate(case):
+    """Multi-utility `convex` and `concave` hold by theorem: each skips
+    every pair, and a fresh engine builds no flag row."""
     rows, points = case
-    _assert_convexity_scans_lazily(MultiUtility(rows), Universe(points, closure_depth=0))
+    for name in ("convex", "concave"):
+        engine = AxiomEngine(MultiUtility(rows), Universe(points, closure_depth=0))
+        assert engine.verdict(name).passed, name
+        assert not engine._flag_rows and engine._row_kernel is None, name
+
+
+def test_fuzz_corpus_theorem_verdicts_match_definitions_and_scans():
+    """What `prefcheck fuzz` draws: every verdict, decided by theorem or
+    scanned, equals the brute force over `rel.compare` and
+    `rel.segment(...).flags`; and the engine's own row scans, run with each
+    decided verdict's masks, find what the theorem says they must."""
+    one_utility = 0
+    for name, rel, universe in fuzz_corpus(15, 1):
+        engine = _assert_verdicts_match(rel, universe)
+        p, n = engine.points, len(engine.points)
+        one = len(rel.utilities) == 1
+        one_utility += one
+        # mixture continuity, incomparable sections, linearity; one utility:
+        # strict sections
+        for props in ((("ge", CLOSED), ("le", CLOSED)), (("incomparable", OPEN),),
+                      (("eq", CONVEX),), *([(("gt", OPEN), ("lt", OPEN))] if one else [])):
+            assert engine.first_section_failure(props) is None, (name, props)
+        # convex, concave
+        for which, above in (("ge", True), ("le", False)):
+            full = flag_bit(which, FULL_SET)
+            among = engine.outcome_rows(WEAK, transposed=not above)
+            assert engine.first_triple(full, full, among) is None, (name, which)
+        # flimsy; one utility: fragile
+        for hit in (FLIMSY_HIT, *([FRAGILE_HIT] if one else [])):
+            assert engine.first_triple(hit, 0) is None, (name, hit)
+        # star convexity fails first at the first distinct indifferent pair
+        for which, above in (("gt", True), ("lt", False)):
+            covers = flag_bit(which, COVERS_OPEN_UNIT)
+            weak = engine.outcome_rows(WEAK, transposed=not above)
+            first = next(((p[i], p[j]) for i in range(n) for j in range(n)
+                          if i != j and weak[i] >> j & 1
+                          and not engine.flag_word(i, j, j) & covers), None)
+            assert first == engine.first_pair(EQUIV, distinct=True), (name, which)
+        # one utility: strong Archimedean sides miss nowhere
+        if one:
+            for i, j in engine.strict_pairs():
+                assert engine._least_misses(i, True)[j] == n, name
+                assert engine._least_misses(j, False)[i] == n, name
+    assert one_utility >= 2

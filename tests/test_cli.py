@@ -150,9 +150,9 @@ def test_axioms_bad_inputs_exit_2(tmp_path, capsys):
 
 
 def test_input_errors_say_what_is_wrong(tmp_path, capsys):
-    """An empty grid, a missing key and a universe that is not an object
-    are named as such, not as a weight range, a bare key repr or a Python
-    indexing error."""
+    """An empty grid, a missing key, a universe that is not an object and a
+    quotient base without a kind are named as such, not as a weight range,
+    a bare key repr, a Python indexing error or a traceback."""
     relation = {"kind": "multi_utility", "utilities": [["1", "0", "0"]]}
     split = {"kind": "catalog", "id": "split_hm"}
     for name, raw, message in (
@@ -169,6 +169,8 @@ def test_input_errors_say_what_is_wrong(tmp_path, capsys):
          "bad space descriptor: missing key 'dim'"),
         ("list_universe", {"relation": relation, "universe": [["1", "0", "0"]]},
          "universe must be a JSON object"),
+        ("kindless_base", {"relation": {"kind": "quotient", "base": {"id": "split_hm"}}},
+         "quotient relation needs a 'base' descriptor with a 'kind'"),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(raw))

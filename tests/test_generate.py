@@ -21,7 +21,7 @@ from prefcheck.relations import FRAGILE_HIT, ComparisonOutcome, MultiUtility
 from prefcheck.spaces import Point, Simplex, augment_points, point_to_json, pt
 
 
-def test_first_fragile_triple_matches_brute_force():
+def test_enrichment_fragile_scan_matches_brute_force():
     """The engine scan that enrichment reads its fragile triple from finds
     the first one of a brute-force scan over `rel.segment(...).flags`, in
     (i, j, k) order."""

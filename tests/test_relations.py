@@ -243,6 +243,25 @@ def test_cut_features_need_a_coordinate_wise_mix_or_a_ranking():
                          lambda z: ())
 
 
+def test_int_features_and_cuts_give_exact_cut_weights():
+    """Points with int coordinates, each declaring its own int value as its
+    cut: the derived oracle still cuts [0,1] at Fraction weights, and gives
+    the partition it gives for the same values as Fractions."""
+    def compare_fn(u, v):
+        return ComparisonOutcome.from_weak(u.coords[0] >= v.coords[0], v.coords[0] >= u.coords[0])
+
+    space = RealInterval(F(0), F(4))
+    ints = CatalogPiecewise("ints", space, compare_fn, lambda z: (z.coords,))
+    fractions = CatalogPiecewise(
+        "fractions", space, compare_fn, lambda z: ((F(z.coords[0]),),))
+    for value, weight in ((1, F(1, 4)), (3, F(3, 4))):
+        part = ints.classify_segment(Point((4,)), Point((0,)), Point((value,)))
+        bounds = [b for which in ("gt", "eq", "lt")
+                  for piece in part.section(which).intervals for b in (piece.lo, piece.hi)]
+        assert weight in bounds and all(type(b) is Fraction for b in bounds), value
+        assert part == fractions.classify_segment(pt(4), pt(0), pt(value)), value
+
+
 # ---------------------------------------------------------------------------
 # affine region helpers and partition assembly
 # ---------------------------------------------------------------------------

@@ -281,10 +281,10 @@ class AxiomEngine:
     - flag rows: per unordered pair {i, j}, the ids of the flag words of
       (i, j, k) for every k, kept as the relation's row kernel returns
       them.  An id indexes `_words`, the kernel's own list of the distinct
-      words it has met.  A row is `bytes` while at most 256 words are
-      known, and a list after that.  A scan marks a row, or a joined
-      block of rows, with one `translate` through a table per
-      (mask, expect);
+      words it has met.  A row is `bytes`, one id per k, so a kernel meets
+      at most 256 words and refuses a relation with more.  A scan marks a
+      row, or a joined block of rows, with one `translate` through a table
+      per (mask, expect);
     - mixtures: a `MixTable` that numbers `points` first, in order, so
       that point i of the engine is point i of the table and each new
       mixture is numbered after them.  With a closure depth it is the
@@ -314,7 +314,7 @@ class AxiomEngine:
         self._outcomes: tuple[list[bytes], list[bytes]] | None = None
         self._outcome_rows: dict[tuple[int, bool], list[int]] = {}
         self._row_kernel = None
-        self._flag_rows: dict[int, bytes | list[int]] = {}
+        self._flag_rows: dict[int, bytes] = {}
         self._words: list[int] = []
         self._mark_tables: dict[tuple[int, int], bytes] = {}
         self._verdicts: dict[str, AxiomVerdict] = {}
@@ -332,11 +332,6 @@ class AxiomEngine:
             for p in self.points:
                 table.number(p)
         return self._mixtures
-
-    def mix(self, x: Point, lam, y: Point) -> Point:
-        """x lam y, through the engine's mixture table."""
-        table = self.mix_table()
-        return table.points[table.mix(table.number(x), table.weight(lam), table.number(y))]
 
     # -- comparison layer ---------------------------------------------------
 
@@ -360,17 +355,8 @@ class AxiomEngine:
             self._cmp[key] = got
         return got
 
-    def weak(self, x, y) -> bool:
-        return bool(self.compare(x, y).bit & WEAK)
-
     def strict(self, x, y) -> bool:
         return self.compare(x, y) is ComparisonOutcome.BETTER
-
-    def equiv(self, x, y) -> bool:
-        return self.compare(x, y) is ComparisonOutcome.EQUIVALENT
-
-    def incomparable(self, x, y) -> bool:
-        return self.compare(x, y) is ComparisonOutcome.INCOMPARABLE
 
     def outcome_rows(self, outcomes: int, transposed: bool = False) -> list[int]:
         """Per point number i, the int whose bit k is set when the outcome
@@ -397,7 +383,7 @@ class AxiomEngine:
     def section(self, x, y, z, which: str) -> SectionSet:
         return self.rel.segment(x, y, z).section(which)
 
-    def flag_row(self, i: int, j: int) -> bytes | list[int]:
+    def flag_row(self, i: int, j: int) -> bytes:
         """Ids of the flag words of points (i, j, k) for every k, computed
         on first use.  Flag words are mirror invariant, so (j, i) shares it."""
         if j < i:
@@ -409,7 +395,7 @@ class AxiomEngine:
                 self._row_kernel, self._words = self.rel.segment_flag_rows(self.points)
             known = len(self._words)
             got = self._flag_rows[key] = self._row_kernel(i, j)
-            if known < 256 and len(self._words) > known:  # new words among the first 256
+            if len(self._words) > known:  # the mark tables lack the new ids
                 self._mark_tables.clear()
         return got
 
@@ -418,20 +404,15 @@ class AxiomEngine:
         row = self.flag_row(i, j)  # may build the kernel, and with it `_words`
         return self._words[row[k]]
 
-    def _marks(self, rows: list, mask: int, expect: int) -> bytes:
+    def _marks(self, rows: list[bytes], mask: int, expect: int) -> bytes:
         """The flag rows `rows` joined, with _MARK at each id whose word,
         masked by `mask`, is not `expect`, and _CLEAR elsewhere."""
-        words = self._words
         table = self._mark_tables.get((mask, expect))
         if table is None:
             table = self._mark_tables[mask, expect] = bytes(
-                _MARK if word & mask != expect else _CLEAR for word in words[:256]
+                _MARK if word & mask != expect else _CLEAR for word in self._words
             ).ljust(256, b"0")
-        if len(words) <= 256:  # then every row is bytes
-            return b"".join(rows).translate(table)
-        return b"".join(row.translate(table) if type(row) is bytes else
-                        bytes(_MARK if words[w] & mask != expect else _CLEAR for w in row)
-                        for row in rows)
+        return b"".join(rows).translate(table)
 
     def first_triple(self, mask: int, expect: int, among: list[int] | None = None):
         """Point numbers (i, j, k) of the first triple in scan order whose

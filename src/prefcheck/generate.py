@@ -20,7 +20,7 @@ from operator import sub
 
 from . import intervals as iv
 from .axioms import AxiomEngine, AxiomId, Universe
-from .relations import FRAGILE_HIT, ComparisonOutcome, MultiUtility
+from .relations import ComparisonOutcome, MultiUtility
 from .spaces import Point, augment_points
 
 F = Fraction
@@ -101,13 +101,13 @@ def _incomparable_partner(rel: MultiUtility, points: list[Point],
 
 def _boundary_enrichment(rel: MultiUtility, points: list[Point]) -> list[Point]:
     # the first triple in scan order whose strict section meets the closure
-    # of the interior of incomparability: the scan of `_check_fragile`
-    engine = AxiomEngine(rel, Universe(tuple(points), 0, ENRICH_GRID))
-    found = engine.first_triple(FRAGILE_HIT, 0)
+    # of the interior of incomparability: the witness of `fragile`
+    found = AxiomEngine(rel, Universe(tuple(points), 0, ENRICH_GRID)).verdict(
+        AxiomId.FRAGILE).witness
     if found is None:
         return []
 
-    x, y, z = (points[t] for t in found)
+    x, y, z = found["x"], found["y"], found["z"]
     part = rel.segment(x, y, z)
     bowtie_core = iv.closure(iv.interior(part.section("incomparable")))
     hit = next(meet for meet in (iv.intersect(part.section(which), bowtie_core)

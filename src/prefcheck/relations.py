@@ -231,18 +231,19 @@ class RelationModel:
     def segment_flag_rows(self, points: Sequence[Point]) -> tuple[Callable, list[int]]:
         """The row kernel of `points`: a function of point numbers (i, j)
         giving, for every z in `points` in order, the id of the flag word of
-        (points[i], points[j], z), and the list of distinct words the ids
-        index, which grows as rows are computed (`_WordIds`).  The words are
-        read off lanes of sign codes when the relation has utility columns,
-        else from one uncached `classify_segment` per triple."""
+        (points[i], points[j], z) as one byte, and the list of distinct
+        words the ids index, which grows as rows are computed (`_WordIds`).
+        The words are read off lanes of sign codes when the relation has
+        utility columns, else from one uncached `classify_segment` per
+        triple."""
         dots = self._columns(points)
         if dots is not None:
             return _lane_rows(dots)
         classify, ids = self.classify_segment, _WordIds()
 
-        def row(i: int, j: int) -> bytes | list[int]:
+        def row(i: int, j: int) -> bytes:
             x, y = points[i], points[j]
-            return ids.row([ids.of(classify(x, y, z).flags) for z in points])
+            return bytes([ids.of(classify(x, y, z).flags) for z in points])
 
         return row, ids.words
 
@@ -447,9 +448,9 @@ def _sign_outcome_rows(dots: Sequence[tuple[int, ...]]) -> list[bytes]:
 
 class _WordIds:
     """The distinct flag words a row kernel has met, numbered in the order
-    met: `words[w]` is the word of id w.  A row of ids is `bytes` while at
-    most 256 words are known, and a list after that; words are only
-    appended, so the ids of a `bytes` row stay valid."""
+    met: `words[w]` is the word of id w.  A row holds its ids as `bytes`,
+    so `of` refuses a 257th word; words are only appended, so ids stay
+    valid."""
 
     def __init__(self):
         self.words: list[int] = []
@@ -458,12 +459,12 @@ class _WordIds:
     def of(self, word: int) -> int:
         got = self._ids.get(word)
         if got is None:
+            if len(self.words) == 256:
+                raise NotRepresentableError(
+                    "more than 256 distinct section flag words: a flag row has one byte per id")
             got = self._ids[word] = len(self.words)
             self.words.append(word)
         return got
-
-    def row(self, ids: list[int]) -> bytes | list[int]:
-        return bytes(ids) if len(self.words) <= 256 else ids
 
 
 # a byte-wide composite not yet met; there are at most 243 composites, so
@@ -538,7 +539,7 @@ def _lane_rows(dots: Sequence[tuple[int, ...]]) -> tuple[Callable, list[int]]:
         return row, ids.words
     known: dict[bytes, int] = {}
 
-    def row(i: int, j: int) -> bytes | list[int]:
+    def row(i: int, j: int) -> bytes:
         lanes = composites(i, j)
         keys = [lanes[s:s + width] for s in range(0, n * lane, lane)]
         out = list(map(known.get, keys))
@@ -549,7 +550,7 @@ def _lane_rows(dots: Sequence[tuple[int, ...]]) -> tuple[Callable, list[int]]:
                     if got is None:
                         got = known[key] = word_id(i, j, k)
                     out[k] = got
-        return ids.row(out)
+        return bytes(out)
 
     return row, ids.words
 
@@ -584,7 +585,7 @@ def _line_rows(feats: Sequence[tuple[int, ...]], lines: Sequence[tuple],
     ordered: dict[tuple[int, int], int] = {}
     ids = _WordIds()
 
-    def row(i: int, j: int) -> bytes | list[int]:
+    def row(i: int, j: int) -> bytes:
         fi, fj = feats[i], feats[j]
         keys = list(map(add, high[i], codes[j]))
         out = list(map(memo.get, keys))
@@ -612,7 +613,7 @@ def _line_rows(feats: Sequence[tuple[int, ...]], lines: Sequence[tuple],
                 if got is None:
                     got = ordered[key, digits] = ids.of(word_of(i, j, k))
             out[k] = got
-        return ids.row(out)
+        return bytes(out)
 
     return row, ids.words
 

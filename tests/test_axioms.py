@@ -38,6 +38,7 @@ from prefcheck.relations import (
     ComparisonOutcome,
     Label,
     MultiUtility,
+    NotRepresentableError,
     PointwiseOnly,
     RelationModel,
     flag_bit,
@@ -493,13 +494,23 @@ def test_fragility_matches_shrinking_neighborhood_test(entry_engines):
 def _reverify(engine, name, verdict):
     w = verdict.witness
     rel, space = engine.rel, engine.space
-    weak = engine.weak
-    strict = engine.strict
-    equiv = engine.equiv
+
+    def weak(x, y):
+        return bool(engine.compare(x, y).bit & WEAK)
+
+    def strict(x, y):
+        return engine.compare(x, y) is ComparisonOutcome.BETTER
+
+    def equiv(x, y):
+        return engine.compare(x, y) is ComparisonOutcome.EQUIVALENT
+
+    def incomparable(x, y):
+        return engine.compare(x, y) is ComparisonOutcome.INCOMPARABLE
+
     if name == "reflexive":
         return not equiv(w["x"], w["x"])
     if name == "complete":
-        return engine.incomparable(w["x"], w["y"])
+        return incomparable(w["x"], w["y"])
     if name == "transitive":
         return weak(w["x"], w["y"]) and weak(w["y"], w["z"]) and not weak(w["x"], w["z"])
     if name == "negatively_transitive":
@@ -534,11 +545,11 @@ def _reverify(engine, name, verdict):
     if name == "archimedean":
         if "z" in w:
             return (strict(w["x"], w["y"])
-                    and engine.incomparable(w["y"], w["z"])
+                    and incomparable(w["y"], w["z"])
                     and iv.intersect(rel.section(w["x"], w["z"], w["y"], "gt"),
                                      OPEN_UNIT).is_empty())
         return (strict(w["x"], w["y"])
-                and engine.incomparable(w["x"], w["w"])
+                and incomparable(w["x"], w["w"])
                 and iv.intersect(rel.section(w["y"], w["w"], w["x"], "lt"),
                                  OPEN_UNIT).is_empty())
     if name == "strong_archimedean":
@@ -778,11 +789,13 @@ class _ManyWords(RelationModel):
     outcome table.  The partitions of (i, j, k) and (j, i, k), mirrors of
     each other, are handed out in scan order from two-cut partitions with
     distinct flag words and no fragile weight, except the last triple's,
-    which has one."""
+    which has one.  The pool is cycled so that at most `words` distinct
+    words are handed out in all; with `words=None` every triple i <= j has
+    its own."""
 
     kind = "many_words"
 
-    def __init__(self, n, seed=0):
+    def __init__(self, n, seed=0, words=256):
         super().__init__(RealInterval(F(0), F(n)))
         self.points = tuple(pt(i) for i in range(n))
         rng = random.Random(seed)
@@ -793,19 +806,20 @@ class _ManyWords(RelationModel):
         pieces = [piece for lo, hi in zip(cuts, cuts[1:])
                   for piece in (Interval(lo, lo), Interval(lo, hi, False, False))]
         pieces.append(Interval(F(1), F(1)))
-        pool, words = [], set()
+        pool, seen = [], set()
         for labels in product(Label, repeat=len(pieces)):
             part = assemble_partition({
                 label: iv.normalize([p for p, lab in zip(pieces, labels) if lab is label])
                 for label in Label})
-            if not part.flags & FRAGILE_HIT and part.flags not in words:
-                words.add(part.flags)
+            if not part.flags & FRAGILE_HIT and part.flags not in seen:
+                seen.add(part.flags)
                 pool.append(part)
         fragile = assemble_partition({
             Label.STRICT_ABOVE: iv.interval(0, F(1, 2)),
             Label.INCOMPARABLE: iv.interval(F(1, 2), 1, False, True)})
         slots = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)]
-        self._parts = dict(zip(slots, pool))
+        period = len(slots) if words is None else words - 1
+        self._parts = {slot: pool[s % period] for s, slot in enumerate(slots)}
         self._parts[slots[-1]] = fragile
 
     def compare(self, x, y):
@@ -819,39 +833,36 @@ class _ManyWords(RelationModel):
 
 
 def test_verdicts_match_past_255_flag_words():
-    """More than 255 distinct words: later rows are lists, scanned by the
-    plain loop; the fragile hit sits in the last row."""
+    """All 256 distinct words that one byte per id can number; the fragile
+    hit sits in the last row, met last."""
     rel = _ManyWords(9)
     engine = _assert_verdicts_match(rel, Universe(rel.points, closure_depth=0))
-    assert len(engine._words) > 256
-    assert type(engine.flag_row(8, 8)) is list
+    assert len(engine._words) == 256
     assert engine.verdict("fragile").witness["x"] == rel.points[8]
 
 
-def test_archimedean_scans_read_list_rows():
-    """Both Archimedean verdicts fail on `_ManyWords(9)`.  Asked alone they
-    meet fewer than 256 words; after `fragile` has built every row (405
-    words) the later rows are lists, and both scans read one."""
+def test_archimedean_scans_after_every_row_is_built():
+    """Both Archimedean verdicts fail on `_ManyWords(9)`, and equal their
+    definitions when `fragile` has first built every row (256 words)."""
     rel = _ManyWords(9)
     engine = AxiomEngine(rel, Universe(rel.points, closure_depth=0))
     engine.verdict("fragile")
-    assert len(engine._words) > 256
+    assert len(engine._words) == 256
     expected = _section_verdicts_by_definition(rel, engine.points)
-    flag_row, kinds = engine.flag_row, []
-
-    def read(i, j):
-        row = flag_row(i, j)
-        kinds.append(type(row))
-        return row
-
-    engine.flag_row = read
     for name in ("archimedean", "strong_archimedean"):
-        kinds.clear()
         status, witness, note = expected[name]
         verdict = engine.verdict(name)
         assert status is Status.FAILS, name
         assert (verdict.status, verdict.witness, verdict.note) == (status, witness, note), name
-        assert list in kinds, name
+
+
+def test_a_257th_flag_word_is_refused():
+    """Every triple i <= j of `_ManyWords(9, words=None)` has its own word,
+    405 in all: the row kernel refuses the 257th."""
+    rel = _ManyWords(9, words=None)
+    engine = AxiomEngine(rel, Universe(rel.points, closure_depth=0))
+    with pytest.raises(NotRepresentableError, match="256"):
+        engine.verdict("fragile")
 
 
 @pytest.mark.parametrize("rel", [MultiUtility(((2, 1, 0), (0, 1, 3))), _ManyWords(9)],

@@ -31,6 +31,12 @@ from prefcheck.relations import (
     OUTCOME_TO_LABEL,
     PartitionError,
     RelationModel,
+    _GE_HI,
+    _GE_LO,
+    _LE_HI,
+    _LE_LO,
+    _label_word,
+    _tag_labels,
     classify_segment,
     compare,
     flag_bit,
@@ -560,6 +566,24 @@ def test_lane_kernel_matches_segment_flags(case):
     row (i, j) and (j, i) is the word of `classify_segment` per target."""
     rows, points = case
     _assert_rows_match_classify_segment(MultiUtility(rows), points)
+
+
+def test_multi_utility_flag_words_fit_in_one_byte():
+    """A multi-utility word is `_cut_word` of the cuts `_integer_cuts` tags:
+    0, 1 and the ends of the closed ge and le sections, either of which may
+    be empty.  Every layout of those ends on nine cut points, ties
+    included, gives 42 distinct words, within the 256 that a row kernel's
+    one byte per id can number."""
+    spans = [None] + [(lo, hi) for lo in range(9) for hi in range(lo, 9)]
+    words = set()
+    for ge, le in product(spans, repeat=2):
+        tags = [0] * 9
+        for span, low, high in ((ge, _GE_LO, _GE_HI), (le, _LE_LO, _LE_HI)):
+            if span is not None:
+                tags[span[0]] |= low
+                tags[span[1]] |= high
+        words.add(_label_word(_tag_labels([t for c, t in enumerate(tags) if t or c in (0, 8)])))
+    assert len(words) == 42
 
 
 @pytest.mark.parametrize("depth", [1, 2])

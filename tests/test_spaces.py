@@ -366,9 +366,9 @@ def counting_interval():
 
 
 def test_scans_mix_each_distinct_argument_once():
-    """C1/C2, S1-S4 and an engine (its independence scan, then `engine.mix`)
-    reach the carrier once per distinct (x, lam, y); each scan runs in
-    full, since every axiom holds."""
+    """C1/C2, S1-S4 and an engine (its independence scan, then its mixture
+    table) reach the carrier once per distinct (x, lam, y); each scan runs
+    in full, since every axiom holds."""
     points = [pt(0), pt(F(1, 2)), pt(1)]
 
     def by_value(x, y):
@@ -376,16 +376,17 @@ def test_scans_mix_each_distinct_argument_once():
 
     def engine_scan(space):
         """Independence, then every grid mixture of the universe through
-        `engine.mix`: both read the engine's one table, whose numbers
-        start with the engine's points in order."""
+        `engine.mix_table()`: both read the engine's one table, whose
+        numbers start with the engine's points in order."""
         engine = AxiomEngine(PointwiseOnly("by_value", space, by_value),
                              Universe(tuple(points), closure_depth=0))
         verdict = engine.verdict("independent")
-        assert engine.mix_table().points[:len(engine.points)] == engine.points
-        exact = RealInterval(F(0), F(1))
+        exact, table = RealInterval(F(0), F(1)), engine.mix_table()
+        assert table.points[:len(engine.points)] == engine.points
         for x, y in product(points, repeat=2):
             for lam in DEFAULT_GRID:
-                assert engine.mix(x, lam, y) == exact.mix(x, lam, y)
+                got = table.mix(table.number(x), table.weight(lam), table.number(y))
+                assert table.points[got] == exact.mix(x, lam, y)
         return [verdict]
 
     scans = {
